@@ -1,21 +1,11 @@
-"""Benchmark: zero-copy shard transport and matching-backend precision.
+"""Benchmark: matching-backend precision.
 
-Two claims of the backend layer are quantified on the matching core that
-every pooled sharded identify runs through (``match_normalized`` over a
-pre-normalized gallery/probe pair):
-
-* **Transport** — process-pool shard matching with the zero-copy
-  shared-memory transport (inputs published once into content-keyed
-  segments, workers attach) versus the legacy pickle transport (every
-  ``match_shard`` spec ships a contiguous copy of its reference block plus
-  the full probe matrix through the executor).  Acceptance: >= 2x faster on
-  a large gallery (256 subjects x 400 reduced features, 256 probe columns),
-  with *bit-for-bit* identical float64 results.
-* **Precision** — the opt-in ``numpy32`` mixed-precision backend versus the
-  default bit-exact ``numpy64`` kernel on warm single-process identifies.
-  Acceptance: >= 1.5x faster with full top-1 (argmax) agreement.  The
-  ``blas_blocked`` float64 GEMM backend is measured alongside for the
-  record.
+Quantifies the backend layer's precision claim on the matching core every
+identify runs through (``match_normalized`` over a pre-normalized
+gallery/probe pair): the opt-in ``numpy32`` mixed-precision backend versus
+the default bit-exact ``numpy64`` kernel on warm single-process identifies.
+Acceptance: >= 1.5x faster with full top-1 (argmax) agreement.  The
+``blas_blocked`` float64 GEMM backend is measured alongside for the record.
 
 Runnable standalone for CI smoke checks::
 
@@ -33,8 +23,6 @@ import numpy as np
 
 from repro.gallery.matching import match_normalized, normalize_columns
 from repro.runtime.backend import get_backend
-from repro.runtime.cache import ArtifactCache
-from repro.runtime.runner import ExperimentRunner
 
 
 def make_matching_workload(
@@ -47,81 +35,6 @@ def make_matching_workload(
     ref_normalized, ref_degenerate = normalize_columns(reference)
     probe_normalized, probe_degenerate = normalize_columns(probe)
     return ref_normalized, ref_degenerate, probe_normalized, probe_degenerate
-
-
-def run_transport_benchmark(
-    n_gallery: int = 256,
-    n_features: int = 400,
-    n_probes: int = 256,
-    shard_size: int = 16,
-    max_workers: int = 2,
-    repeats: int = 3,
-    calls_per_repeat: int = 3,
-    seed: int = 0,
-) -> dict:
-    """Pooled sharded matching: shared-memory transport vs pickle transport.
-
-    Both runners are warmed first (pool spawned; for the shared runner the
-    segments are published), then each transport is timed ``repeats`` times
-    over ``calls_per_repeat`` consecutive identifies — the repeated-identify
-    shape is exactly where content-keyed segments pay, since the pickle
-    path re-ships every byte per call.  Bitwise equality of the two pooled
-    results (and the inline single-process result) is asserted on every
-    measurement.
-    """
-    ref_n, ref_d, probe_n, probe_d = make_matching_workload(
-        n_features, n_gallery, n_probes, seed=seed
-    )
-    inline = match_normalized(ref_n, probe_n, ref_d, probe_d, shard_size=shard_size)
-
-    def measure(runner) -> tuple:
-        best = float("inf")
-        result: Optional[np.ndarray] = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(calls_per_repeat):
-                result = match_normalized(
-                    ref_n, probe_n, ref_d, probe_d,
-                    shard_size=shard_size, runner=runner,
-                )
-            best = min(best, (time.perf_counter() - start) / calls_per_repeat)
-        return best, result
-
-    shared_runner = ExperimentRunner(
-        cache=ArtifactCache(), max_workers=max_workers, executor="process",
-        shared_transport=True,
-    )
-    pickle_runner = ExperimentRunner(
-        cache=ArtifactCache(), max_workers=max_workers, executor="process",
-        shared_transport=False,
-    )
-    try:
-        measure(shared_runner)  # warm-up: pool spawn + segment publish
-        measure(pickle_runner)  # warm-up: pool spawn
-        shared_s, shared_result = measure(shared_runner)
-        pickle_s, pickle_result = measure(pickle_runner)
-        store = shared_runner._shared_store
-        n_segments = store.n_segments if store is not None else 0
-        shared_bytes = store.total_bytes if store is not None else 0
-    finally:
-        shared_runner.shutdown()
-        pickle_runner.shutdown()
-    return {
-        "n_gallery": n_gallery,
-        "n_features": n_features,
-        "n_probes": n_probes,
-        "shard_size": shard_size,
-        "max_workers": max_workers,
-        "pickle_s": pickle_s,
-        "shared_s": shared_s,
-        "speedup": pickle_s / shared_s if shared_s > 0 else float("inf"),
-        "n_segments": n_segments,
-        "shared_bytes": shared_bytes,
-        "bitwise_equal": bool(
-            np.array_equal(shared_result, pickle_result)
-            and np.array_equal(shared_result, inline)
-        ),
-    }
 
 
 def run_precision_benchmark(
@@ -173,39 +86,6 @@ def run_precision_benchmark(
     }
 
 
-def test_shared_transport_beats_pickle_transport(benchmark):
-    """Acceptance: zero-copy pooled sharded matching >= 2x the pickle path.
-
-    Timing on a loaded CI box is noisy, so up to three measurement rounds
-    are taken and the best speedup kept; bitwise equality (shared == pickle
-    == inline) must hold on every round.
-    """
-    def measure():
-        best = None
-        for _ in range(3):
-            outcome = run_transport_benchmark()
-            assert outcome["bitwise_equal"], "transports disagreed bitwise"
-            assert outcome["n_segments"] == 2, (
-                "expected exactly one reference + one probe segment "
-                f"(content-keyed reuse), got {outcome['n_segments']}"
-            )
-            if best is None or outcome["speedup"] > best["speedup"]:
-                best = outcome
-            if best["speedup"] >= 2.0:
-                break
-        return best
-
-    outcome = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print(
-        "\npickle {pickle_s:.4f}s vs shared {shared_s:.4f}s "
-        "({n_gallery}x{n_features} gallery, {n_probes} probes, "
-        "shard {shard_size}) -> {speedup:.1f}x".format(**outcome)
-    )
-    assert outcome["speedup"] >= 2.0, (
-        f"shared-memory transport only {outcome['speedup']:.2f}x faster than pickle"
-    )
-
-
 def test_float32_backend_beats_float64_on_warm_identify(benchmark):
     """Acceptance: opt-in ``numpy32`` >= 1.5x ``numpy64`` with top-1 agreement."""
     def measure():
@@ -231,13 +111,11 @@ def test_float32_backend_beats_float64_on_warm_identify(benchmark):
     )
 
 
-def trajectory_record(transport: dict, precision: dict) -> dict:
+def trajectory_record(precision: dict) -> dict:
     """The ``BENCH_backend.json`` payload CI uploads as a trajectory artifact."""
     return {
         "benchmark": "bench_backend_matching",
         "backend": get_backend(None).name,
-        "speedup": transport["speedup"],
-        "transport": transport,
         "precision": precision,
     }
 
@@ -248,36 +126,20 @@ def main() -> int:
     parser.add_argument("--features", type=int, default=400)
     parser.add_argument("--probes", type=int, default=None,
                         help="probe columns (default: same as --gallery)")
-    parser.add_argument("--shard-size", type=int, default=16)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the trajectory record to PATH")
-    parser.add_argument("--require-speedup", type=float, default=None,
-                        help="fail unless the transport speedup reaches this "
-                        "(only meaningful at acceptance scale; tiny smoke "
-                        "workloads cannot amortize the segment publish)")
     args = parser.parse_args()
     n_probes = args.probes if args.probes is not None else args.gallery
-    shard_size = max(1, min(args.shard_size, args.gallery))
-    transport = run_transport_benchmark(
-        n_gallery=args.gallery, n_features=args.features, n_probes=n_probes,
-        shard_size=shard_size, max_workers=args.workers,
-        repeats=args.repeats, seed=args.seed,
-    )
     precision = run_precision_benchmark(
         n_gallery=args.gallery, n_features=args.features, n_probes=n_probes,
         repeats=max(args.repeats, 3), seed=args.seed,
     )
     print(
         "workload: {n_gallery}-subject x {n_features}-feature gallery, "
-        "{n_probes} probes, shard size {shard_size}".format(**transport)
+        "{n_probes} probes".format(**precision)
     )
-    print("pickle transport       : {pickle_s:.4f} s".format(**transport))
-    print("shared-memory transport: {shared_s:.4f} s".format(**transport))
-    print("transport speedup      : {speedup:.1f}x "
-          "(bitwise equal: {bitwise_equal})".format(**transport))
     print("float64 backend        : {float64_s:.4f} s".format(**precision))
     print("float32 backend        : {float32_s:.4f} s "
           "({float32_speedup:.1f}x, top-1 agreement "
@@ -287,17 +149,9 @@ def main() -> int:
           "{blas_max_abs_diff:.2e})".format(**precision))
     if args.json:
         with open(args.json, "w") as handle:
-            json.dump(trajectory_record(transport, precision), handle, indent=2)
+            json.dump(trajectory_record(precision), handle, indent=2)
         print(f"trajectory written to {args.json}")
-    ok = (
-        transport["bitwise_equal"]
-        and precision["float32_top1_agreement"] == 1.0
-        and (
-            args.require_speedup is None
-            or transport["speedup"] >= args.require_speedup
-        )
-    )
-    return 0 if ok else 1
+    return 0 if precision["float32_top1_agreement"] == 1.0 else 1
 
 
 if __name__ == "__main__":

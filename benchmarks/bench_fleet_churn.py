@@ -125,11 +125,8 @@ def build_fleet_workload(
             random_state=seed + 101 * index,
         )
         registry = GalleryRegistry(root=root, config=config)
-        try:
-            registry.build(name, dataset.generate_session("REST", encoding="LR", day=1))
-            registry.persist(name)
-        finally:
-            registry.close()
+        registry.build(name, dataset.generate_session("REST", encoding="LR", day=1))
+        registry.persist(name)
         probe_session = dataset.generate_session("REST", encoding="RL", day=2)
         probes[name] = list(probe_session[:probes_per_request])
     churn_dataset = HCPLikeDataset(

@@ -1,4 +1,4 @@
-"""Benchmark: cold attack fit vs warm gallery identify vs sharded identify.
+"""Benchmark: cold attack fit vs warm gallery identify.
 
 The gallery subsystem exists so the expensive parts of the attack — the SVD,
 the leverage scores, the reduced signature matrix — are computed once and
@@ -9,8 +9,6 @@ the acceptance workload (64 subjects x 100 regions):
   matrices are built, the SVD runs, the match happens.
 * **warm** — a repeated ``ReferenceGallery.identify`` over the same probes:
   everything except the (tiny) reduced-space match is a cache hit.
-* **sharded** — the same warm identify with the gallery split into column
-  blocks, checked bit-for-bit identical to the single-block result.
 
 The acceptance criterion is warm >= 5x faster than cold.
 
@@ -23,8 +21,6 @@ from __future__ import annotations
 
 import argparse
 import time
-
-import numpy as np
 
 from repro.attack.pipeline import AttackPipeline
 from repro.datasets.hcp import HCPLikeDataset
@@ -50,11 +46,10 @@ def run_gallery_benchmark(
     n_regions: int = 100,
     n_timepoints: int = 100,
     n_features: int = 100,
-    shard_size: int = 16,
     repeats: int = 3,
     seed: int = 0,
 ) -> dict:
-    """Time cold pipeline runs against warm and sharded gallery identifies.
+    """Time cold pipeline runs against warm gallery identifies.
 
     Cold runs get a fresh cache every repeat (that is what "cold" means);
     warm runs share one cache that was populated by a warm-up identify.
@@ -89,28 +84,13 @@ def run_gallery_benchmark(
         warm_result = gallery.identify(probe_scans)
         warm_s = min(warm_s, time.perf_counter() - start)
 
-    sharded_gallery = ReferenceGallery.from_scans(
-        reference_scans, n_features=n_features, cache=cache, shard_size=shard_size
-    )
-    sharded_result = sharded_gallery.identify(probe_scans)
-    sharded_s = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        sharded_result = sharded_gallery.identify(probe_scans)
-        sharded_s = min(sharded_s, time.perf_counter() - start)
-
     return {
         "n_subjects": n_subjects,
         "n_regions": n_regions,
         "n_timepoints": n_timepoints,
-        "shard_size": shard_size,
         "cold_s": cold_s,
         "warm_s": warm_s,
-        "sharded_s": sharded_s,
         "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
-        "shards_bitwise_equal": bool(
-            np.array_equal(warm_result.similarity, sharded_result.similarity)
-        ),
         "same_accuracy": bool(
             cold_report.match_result.accuracy() == warm_result.accuracy()
         ),
@@ -121,14 +101,13 @@ def test_warm_identify_beats_cold_fit(benchmark):
     """Acceptance workload: 64 subjects x 100 regions, warm identify >= 5x.
 
     Timing on a loaded CI box is noisy, so up to three measurement rounds
-    are taken and the best speedup is kept; correctness (bitwise shard
-    equality, matching accuracy) must hold on every round.
+    are taken and the best speedup is kept; correctness (matching accuracy)
+    must hold on every round.
     """
     def measure():
         best = None
         for _ in range(3):
             outcome = run_gallery_benchmark(n_subjects=64, n_regions=100, repeats=5)
-            assert outcome["shards_bitwise_equal"], "sharded identify diverged"
             assert outcome["same_accuracy"], "gallery accuracy diverged from pipeline"
             if best is None or outcome["speedup"] > best["speedup"]:
                 best = outcome
@@ -139,7 +118,7 @@ def test_warm_identify_beats_cold_fit(benchmark):
     outcome = benchmark.pedantic(measure, rounds=1, iterations=1)
     print(
         "\ncold fit {cold_s:.4f}s vs warm identify {warm_s:.4f}s "
-        "(sharded {sharded_s:.4f}s) -> {speedup:.1f}x".format(**outcome)
+        "-> {speedup:.1f}x".format(**outcome)
     )
     assert outcome["speedup"] >= 5.0, (
         f"warm identify only {outcome['speedup']:.2f}x faster than a cold fit"
@@ -152,7 +131,6 @@ def main() -> int:
     parser.add_argument("--regions", type=int, default=100)
     parser.add_argument("--timepoints", type=int, default=100)
     parser.add_argument("--features", type=int, default=100)
-    parser.add_argument("--shard-size", type=int, default=16)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
@@ -161,21 +139,18 @@ def main() -> int:
         n_regions=args.regions,
         n_timepoints=args.timepoints,
         n_features=min(args.features, args.regions * (args.regions - 1) // 2),
-        shard_size=args.shard_size,
         repeats=args.repeats,
         seed=args.seed,
     )
     print(
         "workload: {n_subjects} subjects x {n_regions} regions x "
-        "{n_timepoints} timepoints (shard_size={shard_size})".format(**outcome)
+        "{n_timepoints} timepoints".format(**outcome)
     )
     print("cold attack fit    : {cold_s:.4f} s".format(**outcome))
     print("warm identify      : {warm_s:.4f} s".format(**outcome))
-    print("sharded identify   : {sharded_s:.4f} s".format(**outcome))
     print("speedup (cold/warm): {speedup:.1f}x".format(**outcome))
-    print("shards bitwise eq  : {shards_bitwise_equal}".format(**outcome))
     print("accuracy preserved : {same_accuracy}".format(**outcome))
-    return 0 if (outcome["shards_bitwise_equal"] and outcome["same_accuracy"]) else 1
+    return 0 if outcome["same_accuracy"] else 1
 
 
 if __name__ == "__main__":

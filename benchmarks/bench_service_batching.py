@@ -2,7 +2,7 @@
 
 The serving layer exists so concurrent identification load is cheap: the
 async API coalesces every concurrently awaited ``IdentifyRequest`` into one
-stacked sharded match, and warm repeat requests are served from the
+stacked match, and warm repeat requests are served from the
 content-keyed ``probe``/``gallery_norm`` artifact kinds instead of being
 rebuilt.  This benchmark quantifies that on the acceptance workload
 (a 64-subject x 100-region gallery, one single-probe request per subject):

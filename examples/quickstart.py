@@ -41,8 +41,8 @@ def main() -> None:
     reference_scans = dataset.generate_session("REST", encoding="LR", day=1)
     target_scans = dataset.generate_session("REST", encoding="RL", day=2)
 
-    # One config object owns every knob (features, SVD backend, sharding,
-    # batching); one service serves every gallery.
+    # One config object owns every knob (features, SVD backend, matching
+    # backend, batching); one service serves every gallery.
     service = IdentificationService(config=ServiceConfig(n_features=100))
 
     # Enroll once: the expensive part (one SVD of the reference group matrix)
@@ -83,7 +83,7 @@ def main() -> None:
 
     # Concurrent serving: each subject's anonymous scan arrives as its own
     # request; awaiting them together lets the service coalesce all of them
-    # into ONE stacked sharded match (bit-identical to serial identifies).
+    # into ONE stacked match (bit-identical to serial identifies).
     async def serve_concurrently():
         requests = [
             IdentifyRequest(gallery="hcp-rest", scans=[scan]) for scan in target_scans
@@ -120,8 +120,9 @@ def main() -> None:
         f"matches (mean batch {stats.mean_batch_size:.1f})."
     )
 
-    # Batched execution: one spec per workload, deterministic seeds, shared
-    # cache, optional thread pool (max_workers>1).
+    # Batched experiment execution: one spec per workload, deterministic
+    # seeds, shared cache, optional thread pool (max_workers>1).  Serving
+    # never uses this pool; its process parallelism is the router fleet.
     runner = ExperimentRunner(max_workers=2)
     specs = [
         ExperimentSpec(

@@ -7,10 +7,10 @@ paying for a full benchmark run.  This script imports every
 ``sys.path`` (mirroring how pytest resolves their ``conftest`` import).
 
 With ``--backend-trajectory PATH`` it additionally *runs* the backend
-matching benchmark and writes its trajectory record (transport speedup,
-selected backend, precision outcomes) to PATH — the ``BENCH_backend.json``
-artifact the CI smoke job uploads so speedups can be tracked across
-commits.  ``--http-trajectory PATH`` does the same for the HTTP serving
+matching benchmark and writes its trajectory record (selected backend and
+precision outcomes; float32 top-1 agreement is the hard gate) to PATH — the
+``BENCH_backend.json`` artifact the CI smoke job uploads so speedups can be
+tracked across commits.  ``--http-trajectory PATH`` does the same for the HTTP serving
 benchmark, writing the wire-overhead ratio per codec (JSON vs binary
 frames) to PATH (``BENCH_http.json`` in CI).  ``--index-trajectory PATH``
 runs the candidate-pruning index benchmark and writes its per-size
@@ -83,17 +83,14 @@ def write_backend_trajectory(path: Path) -> dict:
     """Run the backend benchmark and write its trajectory record to ``path``.
 
     Runs the acceptance workload (256-subject x 400-feature gallery, 256
-    probes) — a couple of seconds end to end, and the only scale at which
-    the transport comparison means anything (tiny workloads cannot amortize
-    the one-time segment publish).  The record carries the transport speedup
-    and the selected backend name.
+    probes).  The record carries the selected backend name and the
+    precision outcomes (per-backend timings, speedups, top-1 agreement).
     """
     _benchmarks_on_path()
     import bench_backend_matching as bench
 
-    transport = bench.run_transport_benchmark()
     precision = bench.run_precision_benchmark()
-    record = bench.trajectory_record(transport, precision)
+    record = bench.trajectory_record(precision)
     path.write_text(json.dumps(record, indent=2))
     return record
 
@@ -252,7 +249,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend-trajectory", metavar="PATH", default=None,
         help="run the backend matching benchmark and write its trajectory "
-        "record (speedup + backend name) to PATH",
+        "record (backend name + precision outcomes) to PATH",
     )
     parser.add_argument(
         "--http-trajectory", metavar="PATH", default=None,
@@ -334,18 +331,19 @@ def main(argv=None) -> int:
 
     if args.backend_trajectory:
         record = write_backend_trajectory(Path(args.backend_trajectory))
+        precision = record["precision"]
         print(
             "backend trajectory: backend={backend} "
-            "transport_speedup={speedup:.2f}x "
-            "bitwise_equal={equal} -> {path}".format(
+            "float32_speedup={speedup:.2f}x "
+            "float32_top1_agreement={agreement:.2f} -> {path}".format(
                 backend=record["backend"],
-                speedup=record["speedup"],
-                equal=record["transport"]["bitwise_equal"],
+                speedup=precision["float32_speedup"],
+                agreement=precision["float32_top1_agreement"],
                 path=args.backend_trajectory,
             )
         )
-        if not record["transport"]["bitwise_equal"]:
-            print("FAIL backend trajectory: transports disagreed bitwise")
+        if precision["float32_top1_agreement"] != 1.0:
+            print("FAIL backend trajectory: float32 changed a top-1 identity")
             return 1
 
     if args.http_trajectory:

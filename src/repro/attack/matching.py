@@ -92,7 +92,7 @@ def prepare_match_inputs(
 
     Checks the matrices, the shared feature space, the two-feature minimum,
     and the id lengths; fills in positional subject labels when none are
-    given.  Used by :func:`match_subjects` and the gallery's sharded
+    given.  Used by :func:`match_subjects` and the gallery's
     :func:`~repro.gallery.matching.match_against_gallery`, so the matching
     contract lives in exactly one place.
     """

@@ -15,7 +15,6 @@ reduced signature matrix.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -81,10 +80,6 @@ class AttackPipeline:
         ``rank``; the right choice for large-gallery fits).
     random_state:
         Seed forwarded to the attack (randomized selection / randomized SVD).
-    shard_size:
-        Deprecated here — sharding is a serving knob owned by
-        :class:`~repro.service.config.ServiceConfig`; pass ``config``
-        instead (results are bit-identical either way).
     backend:
         Matching-backend name (``None`` = the bit-exact ``numpy64``
         default); supplied by ``config`` when one is given.
@@ -101,7 +96,6 @@ class AttackPipeline:
     fisher: bool = False
     method: str = "exact"
     random_state: RandomStateLike = None
-    shard_size: Optional[int] = None
     backend: Optional[str] = None
     config: Optional["ServiceConfig"] = field(default=None, repr=False)
     attack_: Optional[LeverageScoreAttack] = field(default=None, repr=False)
@@ -114,17 +108,7 @@ class AttackPipeline:
             self.fisher = self.config.fisher
             self.method = self.config.method
             self.random_state = self.config.random_state
-            self.shard_size = self.config.shard_size
             self.backend = self.config.resolved_backend()
-        elif self.shard_size is not None:
-            warnings.warn(
-                "passing shard_size= directly to AttackPipeline is deprecated; "
-                "shard/cache/worker knobs are owned by the serving layer — use "
-                "AttackPipeline(config=repro.service.ServiceConfig(shard_size=...)) "
-                "or serve through repro.service.IdentificationService",
-                DeprecationWarning,
-                stacklevel=3,
-            )
 
     # ------------------------------------------------------------------ #
     # Building blocks
@@ -173,7 +157,6 @@ class AttackPipeline:
             fisher=self.fisher,
             method=self.method,
             random_state=self.random_state,
-            shard_size=self.shard_size,
             backend=self.backend,
             cache=get_default_cache(),
         )

@@ -18,12 +18,12 @@ Installed as the ``repro-attack`` console script (also runnable as
     Operate a persistent identification gallery through the service-layer
     :class:`~repro.service.registry.GalleryRegistry`: fit it once from a
     reference session and save it to disk, append subjects incrementally,
-    serve repeated identify queries against it (warm-cache, optionally
-    sharded), and inspect its state (including the disk cache tier).
+    serve repeated identify queries against it (warm-cache), and inspect its
+    state (including the disk cache tier).
 ``serve``
     Batch-identify through the :class:`~repro.service.IdentificationService`
     async API: concurrent identify requests against a saved gallery are
-    micro-batched into stacked sharded matches (bit-identical to serial
+    micro-batched into stacked matches (bit-identical to serial
     identifies), and the serving statistics are printed.  With ``--http
     PORT`` it instead exposes the gallery over the stdlib-asyncio HTTP
     front end (``POST /identify``, ``POST /enroll``, ``GET /stats``,
@@ -132,7 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=("exact", "randomized"), default="exact",
         help="SVD backend for the leverage-score fit",
     )
-    build_parser.add_argument("--shard-size", type=_positive_int, default=None)
     build_parser.add_argument("--seed", type=int, default=0)
     build_parser.add_argument(
         "--index", action="store_true",
@@ -212,14 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--codec", choices=("json", "binary"), default="json",
         help="request codec advertised in the HTTP banner; the server "
         "always accepts both Content-Types (see docs/protocol.md)",
-    )
-    serve_parser.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="shard-matching worker pool size (1 = inline matching)",
-    )
-    serve_parser.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="worker pool kind for sharded matching",
     )
     serve_parser.add_argument(
         "--router-workers", type=int, default=0, metavar="N",
@@ -466,54 +457,47 @@ def _command_gallery_build(args) -> int:
         rank=args.rank,
         method=args.method,
         random_state=args.seed,
-        shard_size=args.shard_size,
         index_enabled=args.index,
         index_rank=args.index_rank,
         index_top_c=args.index_top_c,
     )
     registry, name = _registry_for(args.dir, config=config)
-    try:
-        gallery = registry.build(name, scans, metadata={"dataset": recipe})
-        registry.persist(name)
+    gallery = registry.build(name, scans, metadata={"dataset": recipe})
+    registry.persist(name)
+    print(
+        f"built gallery: {gallery.n_subjects} subjects, "
+        f"{gallery.n_features}/{gallery.reference.n_features} features "
+        f"({gallery.method} SVD), saved to {args.dir}"
+    )
+    if gallery.index_ is not None:
         print(
-            f"built gallery: {gallery.n_subjects} subjects, "
-            f"{gallery.n_features}/{gallery.reference.n_features} features "
-            f"({gallery.method} SVD), saved to {args.dir}"
+            f"pruning index: rank={gallery.index_.rank} "
+            f"top_c={gallery.index_.top_c or '(auto)'} "
+            f"method={gallery.index_.method}"
         )
-        if gallery.index_ is not None:
-            print(
-                f"pruning index: rank={gallery.index_.rank} "
-                f"top_c={gallery.index_.top_c or '(auto)'} "
-                f"method={gallery.index_.method}"
-            )
-        print(f"fingerprint: {gallery.fingerprint[:16]}…")
-        return 0
-    finally:
-        registry.close()
+    print(f"fingerprint: {gallery.fingerprint[:16]}…")
+    return 0
 
 
 def _command_gallery_enroll(args) -> int:
     registry, name = _registry_for(args.dir)
-    try:
-        gallery = registry.get(name)
-        recipe = dict(gallery.metadata.get("dataset") or {})
-        if not recipe:
-            print("gallery carries no dataset recipe; cannot synthesize new subjects",
-                  file=sys.stderr)
-            return 1
-        recipe["n_subjects"] = int(recipe["n_subjects"]) + args.extra_subjects
-        dataset = _gallery_dataset(recipe)
-        scans = dataset.generate_session(recipe["task"], encoding="LR", day=1)
-        added = registry.enroll(name, scans)
-        gallery.metadata["dataset"] = recipe
-        registry.persist(name)
-        print(
-            f"enrolled {added} new subject(s); gallery now holds "
-            f"{gallery.n_subjects} subjects (refits: {gallery.refit_count_})"
-        )
-        return 0
-    finally:
-        registry.close()
+    gallery = registry.get(name)
+    recipe = dict(gallery.metadata.get("dataset") or {})
+    if not recipe:
+        print("gallery carries no dataset recipe; cannot synthesize new subjects",
+              file=sys.stderr)
+        return 1
+    recipe["n_subjects"] = int(recipe["n_subjects"]) + args.extra_subjects
+    dataset = _gallery_dataset(recipe)
+    scans = dataset.generate_session(recipe["task"], encoding="LR", day=1)
+    added = registry.enroll(name, scans)
+    gallery.metadata["dataset"] = recipe
+    registry.persist(name)
+    print(
+        f"enrolled {added} new subject(s); gallery now holds "
+        f"{gallery.n_subjects} subjects (refits: {gallery.refit_count_})"
+    )
+    return 0
 
 
 def _command_gallery_identify(args) -> int:
@@ -522,100 +506,93 @@ def _command_gallery_identify(args) -> int:
     config = ServiceConfig(backend=args.backend, precision=args.precision)
     registry, name = _registry_for(args.dir, config=config)
     service = IdentificationService(registry=registry, config=config)
-    try:
-        gallery = registry.get(name)
-        recipe = gallery.metadata.get("dataset")
-        if not recipe:
-            print("gallery carries no dataset recipe; cannot synthesize probes",
-                  file=sys.stderr)
-            return 1
-        dataset = _gallery_dataset(recipe)
-        probes = dataset.generate_session(recipe["task"], encoding="RL", day=2)
-        response = None
-        if args.codec is not None:
-            # Wire mode: the same identify, routed through an ephemeral HTTP
-            # server in the chosen codec — the response is bit-identical to
-            # the in-process path (docs/protocol.md).
-            from repro.service.http import BackgroundHttpServer, ServiceClient
+    gallery = registry.get(name)
+    recipe = gallery.metadata.get("dataset")
+    if not recipe:
+        print("gallery carries no dataset recipe; cannot synthesize probes",
+              file=sys.stderr)
+        return 1
+    dataset = _gallery_dataset(recipe)
+    probes = dataset.generate_session(recipe["task"], encoding="RL", day=2)
+    response = None
+    if args.codec is not None:
+        # Wire mode: the same identify, routed through an ephemeral HTTP
+        # server in the chosen codec — the response is bit-identical to
+        # the in-process path (docs/protocol.md).
+        from repro.service.http import BackgroundHttpServer, ServiceClient
 
-            with BackgroundHttpServer(service, port=0) as background:
-                with ServiceClient(
-                    port=background.port, codec=args.codec
-                ) as wire_client:
-                    for _ in range(args.repeat):
-                        response = wire_client.identify(gallery=name, scans=probes)
-            print(f"identified over HTTP ({args.codec} codec)")
-        else:
-            for _ in range(args.repeat):
-                response = service.identify(IdentifyRequest(gallery=name, scans=probes))
-        if not response.ok:
-            print(f"identify failed: {response.error}", file=sys.stderr)
-            return 1
+        with BackgroundHttpServer(service, port=0) as background:
+            with ServiceClient(
+                port=background.port, codec=args.codec
+            ) as wire_client:
+                for _ in range(args.repeat):
+                    response = wire_client.identify(gallery=name, scans=probes)
+        print(f"identified over HTTP ({args.codec} codec)")
+    else:
+        for _ in range(args.repeat):
+            response = service.identify(IdentifyRequest(gallery=name, scans=probes))
+    if not response.ok:
+        print(f"identify failed: {response.error}", file=sys.stderr)
+        return 1
+    print(
+        f"identified {response.n_probes} probes against "
+        f"{response.n_gallery_subjects} enrolled subjects "
+        f"(backend: {gallery.backend})"
+    )
+    pruning = service.stats().pruning.get(name)
+    if pruning is not None:
         print(
-            f"identified {response.n_probes} probes against "
-            f"{response.n_gallery_subjects} enrolled subjects "
-            f"(backend: {gallery.backend})"
+            f"candidates scanned      : {pruning['candidates_scanned']} of "
+            f"{pruning['columns_considered']} gallery columns "
+            f"(pruning ratio {pruning['pruning_ratio']:.3f})"
         )
-        pruning = service.stats().pruning.get(name)
-        if pruning is not None:
-            print(
-                f"candidates scanned      : {pruning['candidates_scanned']} of "
-                f"{pruning['columns_considered']} gallery columns "
-                f"(pruning ratio {pruning['pruning_ratio']:.3f})"
-            )
-        print(f"identification accuracy : {100.0 * response.accuracy:.1f} %")
-        margins = response.margins
-        print(f"mean confidence margin  : {sum(margins) / len(margins):.3f}")
-        stats = service.cache.stats("group_matrix")
-        probe_stats = service.cache.stats("probe")
-        print(
-            f"group-matrix cache      : {stats.hits} hits / {stats.misses} misses "
-            f"over {args.repeat} identify call(s)"
-        )
-        print(
-            f"probe-signature cache   : {probe_stats.hits} hits / "
-            f"{probe_stats.misses} misses"
-        )
-        return 0
-    finally:
-        service.close()
+    print(f"identification accuracy : {100.0 * response.accuracy:.1f} %")
+    margins = response.margins
+    print(f"mean confidence margin  : {sum(margins) / len(margins):.3f}")
+    stats = service.cache.stats("group_matrix")
+    probe_stats = service.cache.stats("probe")
+    print(
+        f"group-matrix cache      : {stats.hits} hits / {stats.misses} misses "
+        f"over {args.repeat} identify call(s)"
+    )
+    print(
+        f"probe-signature cache   : {probe_stats.hits} hits / "
+        f"{probe_stats.misses} misses"
+    )
+    return 0
 
 
 def _command_gallery_info(args) -> int:
     registry, name = _registry_for(args.dir)
-    try:
-        gallery = registry.get(name)
-        info = gallery.info()
-        cache_dir = gallery.cache.cache_dir
-        print(f"subjects enrolled   : {info['n_subjects']}")
+    gallery = registry.get(name)
+    info = gallery.info()
+    cache_dir = gallery.cache.cache_dir
+    print(f"subjects enrolled   : {info['n_subjects']}")
+    print(
+        "signature features  : "
+        f"{info['n_features_selected']} of {info['n_features_total']}"
+    )
+    print(f"svd backend         : {info['method']} (rank={info['rank']})")
+    print(f"matching backend    : {info['backend'] or 'numpy64 (default)'}")
+    index = info.get("index")
+    if index is None:
+        print("pruning index       : (none; build with --index or serve "
+              "--precision indexed)")
+    else:
+        counters = index.get("counters", {})
         print(
-            "signature features  : "
-            f"{info['n_features_selected']} of {info['n_features_total']}"
+            f"pruning index       : rank={index['rank']} "
+            f"top_c={index['top_c']} method={index['method']} "
+            f"cumulative ratio={counters.get('pruning_ratio', 0.0):.3f}"
         )
-        print(f"svd backend         : {info['method']} (rank={info['rank']})")
-        print(f"matching backend    : {info['backend'] or 'numpy64 (default)'}")
-        print(f"shard size          : {info['shard_size'] or '(single block)'}")
-        index = info.get("index")
-        if index is None:
-            print("pruning index       : (none; build with --index or serve "
-                  "--precision indexed)")
-        else:
-            counters = index.get("counters", {})
-            print(
-                f"pruning index       : rank={index['rank']} "
-                f"top_c={index['top_c']} method={index['method']} "
-                f"cumulative ratio={counters.get('pruning_ratio', 0.0):.3f}"
-            )
-        print(f"fingerprint         : {info['fingerprint']}")
-        print(f"disk cache tier     : {cache_dir if cache_dir is not None else '(memory only)'}")
-        _print_cache_kinds(
-            gallery.cache,
-            ("gallery", "gallery_norm", "leverage", "svd", "group_matrix",
-             "probe", "index"),
-        )
-        return 0
-    finally:
-        registry.close()
+    print(f"fingerprint         : {info['fingerprint']}")
+    print(f"disk cache tier     : {cache_dir if cache_dir is not None else '(memory only)'}")
+    _print_cache_kinds(
+        gallery.cache,
+        ("gallery", "gallery_norm", "leverage", "svd", "group_matrix",
+         "probe", "index"),
+    )
+    return 0
 
 
 def _command_serve(args) -> int:
@@ -658,8 +635,6 @@ def _serve(args) -> int:
         batch_window_s=args.window,
         backend=args.backend,
         precision=args.precision,
-        max_workers=args.workers,
-        executor=args.executor,
         http_host=args.host,
         http_port=args.http if args.http is not None else 8035,
         codec=args.codec,
@@ -691,19 +666,13 @@ def _serve(args) -> int:
                 return _serve_http(router, name, rescale_file=args.rescale_file)
             return _serve_rounds(router, name, args)
         finally:
-            # Drains every worker (each releases its own pool and /dev/shm
-            # segments before the router joins it).
+            # Drains every worker before the router joins it.
             router.close()
     registry, name = _registry_for(args.dir, config=config)
     service = IdentificationService(registry=registry, config=config)
-    # Everything below must release the runner pool and /dev/shm segments on
-    # every exit path — early returns and mid-round ReproErrors included.
-    try:
-        if args.http is not None:
-            return _serve_http(service, name)
-        return _serve_rounds(service, name, args)
-    finally:
-        service.close()
+    if args.http is not None:
+        return _serve_http(service, name)
+    return _serve_rounds(service, name, args)
 
 
 def _serve_rounds(service, name, args) -> int:

@@ -1,4 +1,4 @@
-"""Gallery subsystem: persistent signature store and sharded matching.
+"""Gallery subsystem: persistent signature store and correlation matching.
 
 This package turns the paper's one-shot fit-and-identify attack into a
 service-shaped workflow:
@@ -7,9 +7,9 @@ service-shaped workflow:
     Cached SVD factors and leverage scores (the ``svd`` and ``leverage``
     artifact kinds) — fit once per reference content, hit forever after.
 ``matching``
-    Sharded correlation matching with bit-for-bit equivalence to the
-    single-block path, optionally fanned out over an
-    :class:`~repro.runtime.runner.ExperimentRunner` pool.
+    In-process correlation matching through the fixed-order kernel, whose
+    output is bit-for-bit invariant to how gallery or probe columns are
+    split.
 ``reference``
     :class:`ReferenceGallery` — the fitted, persistent, incrementally
     growable gallery object serving repeated ``identify`` queries (the
@@ -33,7 +33,6 @@ from repro.gallery.matching import (
     match_normalized,
     normalize_columns,
     shard_similarity,
-    shard_slices,
     similarity_kernel,
 )
 from repro.gallery.reference import ReferenceGallery
@@ -49,7 +48,6 @@ __all__ = [
     "match_normalized",
     "normalize_columns",
     "shard_similarity",
-    "shard_slices",
     "similarity_kernel",
     # reference
     "ReferenceGallery",

@@ -258,7 +258,7 @@ class PruningIndex:
         if not resolved.bit_exact:
             raise ConfigurationError(
                 f"the pruned matching path requires a bit-exact backend "
-                f"(column-subset re-ranking relies on shard-invariant "
+                f"(column-subset re-ranking relies on split-invariant "
                 f"accumulation); got {resolved.name!r}"
             )
         reference_normalized = np.asarray(reference_normalized, dtype=np.float64)

@@ -1,35 +1,39 @@
-"""Sharded correlation matching against a reference gallery.
+"""Correlation matching against a reference gallery.
 
-A production-scale gallery holds thousands of enrolled subjects; matching a
-probe batch against all of them at once means one huge correlation matrix and
-one huge GEMM.  :func:`match_against_gallery` splits the gallery into column
-blocks (shards), computes each shard's similarity block independently —
-inline, or as ``match_shard`` specs through an
-:class:`~repro.runtime.runner.ExperimentRunner` pool — and merges the blocks
-into one :class:`~repro.attack.matching.MatchResult`.
+:func:`match_against_gallery` normalizes the gallery and probe columns, runs
+one similarity contraction over the whole gallery, and wraps the block in a
+:class:`~repro.attack.matching.MatchResult`.  The match runs in the
+leverage-reduced space (about 100 features), so it is a small slice of any
+identify call and runs in process; process parallelism lives in the serving
+fleet (:mod:`repro.service.fleet`), not here.
 
-Exact equivalence is a hard requirement: the merged argmax/margins must be
-*bit-for-bit* identical to the single-block path.  Two properties deliver it:
+The default ``numpy64`` kernel is *column-split invariant*: the similarity
+of any subset of gallery columns, or of any subset of probe columns, equals
+the matching rows/columns of the full block bit-for-bit.  Two properties
+deliver it, and two callers rely on it — the serving micro-batcher stacks
+the probe columns of many requests into one call, and the
+:class:`~repro.gallery.index.PruningIndex` re-ranks a subset of gallery
+columns exactly:
 
-* Column normalization is computed **once** on the full matrices before
-  sharding.  (NumPy reductions over single-column blocks collapse to a
+* Column normalization is computed **once** on the full matrices, never per
+  column block.  (NumPy reductions over single-column blocks collapse to a
   contiguous pairwise-summation path whose rounding differs from the
-  multi-column row-sweep, so per-block normalization would not be
-  shard-invariant — and neither is a BLAS GEMM, whose one-column edge shards
-  take a GEMV kernel with a different accumulation order.)
-* The shard similarity is a fixed-order ``einsum`` contraction whose
-  per-element accumulation depends only on the feature dimension, so the
-  block width cannot change a single bit of any output element.
+  multi-column row-sweep — and a BLAS GEMM is not split invariant either,
+  since one-column edge blocks take a GEMV kernel with a different
+  accumulation order.)
+* The similarity is a fixed-order ``einsum`` contraction whose per-element
+  accumulation depends only on the feature dimension, so the block width
+  cannot change a single bit of any output element.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.attack.matching import MatchResult, prepare_match_inputs
-from repro.exceptions import AttackError, ConfigurationError, ValidationError
+from repro.exceptions import AttackError
 from repro.runtime.backend import MatchingBackend, get_backend
 from repro.utils.validation import check_matrix
 
@@ -69,8 +73,8 @@ def similarity_kernel(
     contraction) the similarity of gallery column ``j`` with probe column
     ``k`` is bit-identical whether the reference block holds one column or
     the whole gallery.  This is a deliberate trade: the kernel gives up peak
-    multithreaded GEMM throughput to buy shard invariance (BLAS row-blocking
-    is not bitwise stable), and since matching runs in the leverage-reduced
+    multithreaded GEMM throughput to buy column-split invariance (BLAS
+    row-blocking is not bitwise stable), and since matching runs in the leverage-reduced
     space (~100 features) the contraction is a negligible slice of any
     identify call.  Other backends (``numpy32`` mixed precision,
     ``blas_blocked`` GEMM — see :mod:`repro.runtime.backend`) trade that
@@ -88,9 +92,10 @@ def shard_similarity(reference_block: np.ndarray, probe: np.ndarray) -> np.ndarr
     """One-shot correlation of a gallery block against a probe batch.
 
     Normalizes both inputs and applies :func:`similarity_kernel`.  Note that
-    the normalization here is *not* shard-invariant (single-column reductions
-    round differently) — :func:`match_against_gallery` therefore normalizes
-    the full matrices once and ships pre-normalized blocks to the shards.
+    the normalization here is *not* column-split invariant (single-column
+    reductions round differently) — callers that slice columns out of a
+    larger gallery normalize the full matrices once and slice the normalized
+    columns instead.
     """
     ref = check_matrix(reference_block, name="reference_block")
     prb = check_matrix(probe, name="probe")
@@ -106,34 +111,14 @@ def shard_similarity(reference_block: np.ndarray, probe: np.ndarray) -> np.ndarr
     )
 
 
-def shard_slices(n_columns: int, shard_size: Optional[int]) -> List[Tuple[int, int]]:
-    """``[start, stop)`` column ranges covering ``n_columns`` in order.
-
-    ``shard_size=None`` (or any size >= ``n_columns``) yields one block.
-    """
-    if n_columns < 1:
-        raise ValidationError(f"n_columns must be >= 1, got {n_columns}")
-    if shard_size is None:
-        return [(0, n_columns)]
-    shard_size = int(shard_size)
-    if shard_size < 1:
-        raise ValidationError(f"shard_size must be >= 1, got {shard_size}")
-    return [
-        (start, min(start + shard_size, n_columns))
-        for start in range(0, n_columns, shard_size)
-    ]
-
-
 def match_against_gallery(
     reference: np.ndarray,
     probe: np.ndarray,
     reference_subject_ids: Optional[Sequence[str]] = None,
     target_subject_ids: Optional[Sequence[str]] = None,
-    shard_size: Optional[int] = None,
-    runner=None,
     backend: BackendLike = None,
 ) -> MatchResult:
-    """Match probe columns against gallery columns, shard by shard.
+    """Match probe columns against every gallery column in one contraction.
 
     Parameters
     ----------
@@ -143,15 +128,6 @@ def match_against_gallery(
         ``(n_features, n_probe)`` reduced probe matrix (same feature space).
     reference_subject_ids / target_subject_ids:
         Optional identities; default to positional labels.
-    shard_size:
-        Gallery columns per block; ``None`` matches in a single block.
-    runner:
-        Optional :class:`~repro.runtime.runner.ExperimentRunner`; when given
-        (and more than one shard exists) each block is computed as a
-        ``match_shard`` spec through the runner's pool.  The merged result is
-        bit-identical to the inline path.  A shared-memory-transport runner
-        freezes the (internally normalized) inputs it publishes; the caller's
-        ``reference``/``probe`` arrays themselves are never frozen here.
     backend:
         Matching-backend name or instance (``None`` = the bit-exact
         ``numpy64`` default; see :mod:`repro.runtime.backend`).
@@ -166,8 +142,6 @@ def match_against_gallery(
         probe_normalized,
         ref_degenerate,
         probe_degenerate,
-        shard_size=shard_size,
-        runner=runner,
         backend=backend,
     )
     predictions = np.argmax(similarity, axis=0)
@@ -184,42 +158,28 @@ def match_normalized(
     probe_normalized: np.ndarray,
     reference_degenerate: np.ndarray,
     probe_degenerate: np.ndarray,
-    shard_size: Optional[int] = None,
-    runner=None,
     backend: BackendLike = None,
     index=None,
     index_top_c: Optional[int] = None,
 ) -> np.ndarray:
-    """Sharded similarity of pre-normalized columns (the shard-invariant core).
+    """Similarity of pre-normalized columns against the whole gallery.
 
     This is the seam shared by :func:`match_against_gallery` and the serving
     layer's micro-batched identification
     (:class:`repro.service.IdentificationService` stacks the pre-normalized
     probes of many concurrent requests and runs them through one call):
     because the inputs are already normalized and the default backend is the
-    fixed-order contraction, the output is bit-for-bit identical however the
-    probe columns are batched or the gallery columns are sharded.  Non-
-    default backends keep the sharding/batching semantics but trade the
-    bit-identity guarantee for throughput (see
+    fixed-order contraction, each request's columns of the output are
+    bit-for-bit what a call with its probes alone returns.  Non-default
+    backends trade that guarantee for throughput (see
     :mod:`repro.runtime.backend`).
-
-    .. note::
-       A ``runner`` using the shared-memory transport content-keys its
-       segments by freezing the input arrays
-       (:func:`~repro.runtime.cache.frozen_array_digest` marks owning
-       arrays ``writeable=False``), exactly like the artifact cache does.
-       Callers that want to keep writing into the same buffers should pass
-       copies — an in-place write after the call raises instead of
-       silently corrupting a content key.
 
     When an ``index`` (a fitted :class:`~repro.gallery.index.PruningIndex`)
     is given, the call takes the pruned path instead: one coarse sketched
     pass selects per-probe candidates, the exact backend re-ranks only
     those columns, and unevaluated entries of the result hold the index's
     fill sentinel.  Argmax and top-1/top-2 margins are exact by
-    construction (see :mod:`repro.gallery.index`); ``shard_size`` and
-    ``runner`` are ignored on this path because the candidate re-rank is a
-    small fraction of a single shard.
+    construction (see :mod:`repro.gallery.index`).
     """
     if index is not None:
         return index.match(
@@ -230,123 +190,10 @@ def match_normalized(
             backend=backend,
             top_c=index_top_c,
         )
-    resolved = get_backend(backend)
-    slices = shard_slices(reference_normalized.shape[1], shard_size)
-    if runner is not None and len(slices) > 1:
-        blocks = _pooled_shard_blocks(
-            reference_normalized,
-            probe_normalized,
-            reference_degenerate,
-            probe_degenerate,
-            slices,
-            runner,
-            resolved,
-        )
-    else:
-        blocks = [
-            resolved.similarity(
-                reference_normalized[:, start:stop],
-                probe_normalized,
-                reference_degenerate[start:stop],
-                probe_degenerate,
-            )
-            for start, stop in slices
-        ]
-    return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-
-
-def _pooled_shard_blocks(
-    ref_normalized: np.ndarray,
-    probe_normalized: np.ndarray,
-    ref_degenerate: np.ndarray,
-    probe_degenerate: np.ndarray,
-    slices: Sequence[Tuple[int, int]],
-    runner,
-    backend: MatchingBackend,
-) -> List[np.ndarray]:
-    """Compute shard similarity blocks through an ExperimentRunner pool.
-
-    The specs carry pre-normalized inputs plus the degenerate masks, so the
-    worker applies only the backend contraction (for the default backend:
-    the one operation proven shard-invariant, keeping the pooled result
-    bit-identical to the inline path).  How the inputs travel depends on
-    the runner:
-
-    * **shared** — process pools with zero-copy transport publish the full
-      normalized reference and probe once into runner-owned shared-memory
-      segments (content-keyed, so repeated identifies reuse them); each spec
-      carries only a descriptor plus its ``columns`` slice, and workers
-      attach instead of unpickling.
-    * **pickle** — process pools without shared memory fall back to shipping
-      a contiguous copy of each reference block (the pre-zero-copy path).
-    * **view** — thread pools share the address space, so specs carry plain
-      views of the full matrices and the worker slices its columns.
-    """
-    from contextlib import nullcontext
-
-    from repro.runtime.runner import ExperimentSpec
-
-    executor = getattr(runner, "executor", "thread")
-    shared = bool(getattr(runner, "supports_shared_transport", False))
-    if executor == "process":
-        # Workers resolve the backend from their own (module-level) registry,
-        # so an instance that is not registered under its name would fail
-        # inside every worker with a cryptic shard error — reject it here.
-        backend_param: Any = backend.name
-        registered = None
-        try:
-            registered = get_backend(backend.name)
-        except Exception:  # noqa: BLE001 - unknown name, reported below
-            pass
-        if registered is not backend and type(registered) is not type(backend):
-            raise ConfigurationError(
-                f"matching backend {backend.name!r} is not registered under "
-                "that name; process-pool workers resolve backends by name — "
-                "call repro.runtime.backend.register_backend() first"
-            )
-    else:
-        # Threads share the process: ship the instance itself, registered
-        # or not.
-        backend_param = backend
-
-    if shared:
-        # Publish-and-pin in one lease: segments are pinned from birth, so
-        # concurrent callers' publishes can never LRU-evict them while this
-        # batch's descriptors are in flight to the workers.
-        transport_guard = runner.lease_arrays([ref_normalized, probe_normalized])
-    else:
-        transport_guard = nullcontext((ref_normalized, probe_normalized))
-
-    with transport_guard as (reference_param, probe_param):
-        specs = []
-        for index, (start, stop) in enumerate(slices):
-            params: Dict[str, Any] = {"probe": probe_param, "backend": backend_param}
-            if shared or executor != "process":
-                params["reference"] = reference_param
-                params["reference_degenerate"] = ref_degenerate
-                params["columns"] = (int(start), int(stop))
-                params["probe_degenerate"] = probe_degenerate
-            else:
-                # Pickle transport: copy the slice so a contiguous block
-                # crosses the process boundary without dragging the full
-                # gallery.
-                params["reference"] = np.ascontiguousarray(ref_normalized[:, start:stop])
-                params["reference_degenerate"] = np.ascontiguousarray(
-                    ref_degenerate[start:stop]
-                )
-                params["probe_degenerate"] = probe_degenerate
-            specs.append(
-                ExperimentSpec(
-                    name=f"match-shard-{start:08d}-{stop:08d}",
-                    kind="match_shard",
-                    seed=index,
-                    params=params,
-                )
-            )
-        results = runner.run(specs)
-    blocks: List[np.ndarray] = []
-    for result in results:
-        if not result.ok:
-            raise AttackError(f"shard {result.name} failed: {result.error}")
-        blocks.append(np.asarray(result.output))
-    return blocks
+    return similarity_kernel(
+        reference_normalized,
+        probe_normalized,
+        reference_degenerate,
+        probe_degenerate,
+        backend=backend,
+    )

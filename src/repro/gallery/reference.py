@@ -12,8 +12,7 @@ service's core object:
   kind) are computed once and persist through the cache's disk tier.
 * **Identify many** — :meth:`identify` builds the probe group matrix through
   the batched runtime (a cache hit for repeated probes) and matches against
-  the stored signatures, optionally sharded across an
-  :class:`~repro.runtime.runner.ExperimentRunner` pool.
+  the stored signatures in one in-process contraction.
 * **Grow** — :meth:`enroll` appends new subjects and re-fits the leverage
   scores only when the content key of the reference actually changed.
 * **Persist** — :meth:`save`/:meth:`load` round-trip the fitted state through
@@ -23,7 +22,6 @@ service's core object:
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -51,13 +49,12 @@ from repro.utils.validation import check_positive_int
 
 PathLike = Union[str, Path]
 
-#: On-disk layout of a saved gallery.
+#: On-disk layout of a saved gallery.  Archives written by earlier versions
+#: may carry extra ``gallery.json`` keys (a since-removed matching block
+#: size); :meth:`ReferenceGallery.load` reads only the keys it knows.
 _ARRAYS_FILE = "gallery.npz"
 _META_FILE = "gallery.json"
 _FORMAT_VERSION = 1
-
-#: Sentinel for "keep the persisted value" in :meth:`ReferenceGallery.load`.
-_UNCHANGED = object()
 
 
 class ReferenceGallery:
@@ -80,19 +77,13 @@ class ReferenceGallery:
         ``"exact"`` or ``"randomized"`` SVD backend for the fit.
     random_state:
         Seed for the randomized backend.
-    shard_size:
-        Gallery columns per matching shard (``None`` = single block).
     cache:
         Artifact cache backing the fit; defaults to the process-wide cache.
         Give it a ``cache_dir`` to persist factors across processes.
-    runner:
-        Optional :class:`~repro.runtime.runner.ExperimentRunner` used to
-        compute matching shards through a worker pool.
     backend:
         Matching-backend name for :meth:`identify` (``None`` = the bit-exact
         ``numpy64`` default; see :mod:`repro.runtime.backend`).  A runtime
-        deployment knob like ``runner`` — it is not persisted by
-        :meth:`save`.
+        deployment knob — it is not persisted by :meth:`save`.
     metadata:
         Free-form JSON-serializable dict persisted alongside the gallery
         (the CLI stores its dataset recipe here).
@@ -125,9 +116,7 @@ class ReferenceGallery:
         fisher: bool = False,
         method: str = "exact",
         random_state: RandomStateLike = None,
-        shard_size: Optional[int] = None,
         cache: Optional[ArtifactCache] = None,
-        runner=None,
         backend: Optional[str] = None,
         metadata: Optional[Dict[str, Any]] = None,
         index_rank: Optional[int] = None,
@@ -144,19 +133,7 @@ class ReferenceGallery:
         self.fisher = bool(fisher)
         self.method = method
         self.random_state = random_state
-        self.shard_size = shard_size
         self.cache = cache if cache is not None else get_default_cache()
-        if runner is not None:
-            warnings.warn(
-                "passing runner= to ReferenceGallery is deprecated; worker-pool "
-                "wiring is owned by the serving layer — use "
-                "repro.service.ServiceConfig(max_workers=...) with a "
-                "GalleryRegistry/IdentificationService (or assign "
-                "gallery.runner after construction)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.runner = runner
         self.backend = backend
         self.metadata: Dict[str, Any] = dict(metadata) if metadata else {}
         self.reference = reference
@@ -186,9 +163,7 @@ class ReferenceGallery:
         fisher: bool = False,
         method: str = "exact",
         random_state: RandomStateLike = None,
-        shard_size: Optional[int] = None,
         cache: Optional[ArtifactCache] = None,
-        runner=None,
         backend: Optional[str] = None,
         metadata: Optional[Dict[str, Any]] = None,
         index_rank: Optional[int] = None,
@@ -211,9 +186,7 @@ class ReferenceGallery:
             fisher=fisher,
             method=method,
             random_state=random_state,
-            shard_size=shard_size,
             cache=cache,
-            runner=runner,
             backend=backend,
             metadata=metadata,
             index_rank=index_rank,
@@ -361,8 +334,6 @@ class ReferenceGallery:
             reduced_probe,
             reference_subject_ids=self.reference.subject_ids,
             target_subject_ids=probe.subject_ids,
-            shard_size=self.shard_size,
-            runner=self.runner,
             backend=self.backend,
         )
 
@@ -541,7 +512,6 @@ class ReferenceGallery:
             "fisher": self.fisher,
             "method": self.method,
             "seed": None if self._seed_for_key() == -1 else self._seed_for_key(),
-            "shard_size": self.shard_size,
             "subject_ids": self.reference.subject_ids,
             "tasks": self.reference.tasks,
             "sessions": self.reference.sessions,
@@ -564,16 +534,13 @@ class ReferenceGallery:
         cls,
         directory: PathLike,
         cache: Optional[ArtifactCache] = None,
-        runner=None,
         backend: Optional[str] = None,
-        shard_size: Any = _UNCHANGED,
     ) -> "ReferenceGallery":
         """Load a saved gallery without re-fitting anything.
 
         The cached artifacts (leverage scores, signatures) are primed back
         into ``cache``, so a later :meth:`enroll` or a second gallery over
-        the same cohort starts warm.  ``shard_size`` overrides the persisted
-        value when given.
+        the same cohort starts warm.
         """
         directory = Path(directory)
         meta_path = directory / _META_FILE
@@ -615,11 +582,7 @@ class ReferenceGallery:
         gallery.fisher = bool(meta["fisher"])
         gallery.method = meta["method"]
         gallery.random_state = meta["seed"]
-        gallery.shard_size = (
-            meta["shard_size"] if shard_size is _UNCHANGED else shard_size
-        )
         gallery.cache = cache if cache is not None else get_default_cache()
-        gallery.runner = runner
         gallery.backend = backend
         gallery.metadata = meta.get("metadata") or {}
         gallery.reference = GroupMatrix(
@@ -699,7 +662,6 @@ class ReferenceGallery:
             "rank": self.rank,
             "method": self.method,
             "fisher": self.fisher,
-            "shard_size": self.shard_size,
             "backend": self.backend,
             "refit_count": self.refit_count_,
             "fingerprint": self.fingerprint,
@@ -714,5 +676,5 @@ class ReferenceGallery:
         return (
             f"ReferenceGallery(subjects={self.n_subjects}, "
             f"features={self.n_features}/{self.reference.n_features}, "
-            f"method={self.method!r}, shard_size={self.shard_size})"
+            f"method={self.method!r})"
         )

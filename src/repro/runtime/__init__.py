@@ -16,8 +16,7 @@ The runtime layer makes heavy multi-experiment workloads cheap to run:
     :class:`ExperimentRunner` executes batches of :class:`ExperimentSpec`
     through a thread/process pool with deterministic per-spec seeding.
 ``shm``
-    Content-keyed shared-memory segments — the zero-copy transport that
-    ships ``match_shard`` inputs to process-pool workers without pickling.
+    The ``/dev/shm`` segment-name prefix the leak checks glob for.
 ``results``
     Uniform :class:`RunResult` records with timing breakdowns and JSON
     serialization.
@@ -76,7 +75,6 @@ from repro.runtime.runner import (
     paper_experiment_specs,
     register_task_kind,
 )
-from repro.runtime.shm import SharedArrayStore, shared_memory_available
 
 __all__ = [
     # backend
@@ -117,9 +115,6 @@ __all__ = [
     "load_results_json",
     "summarize_results",
     "write_results_json",
-    # shm
-    "SharedArrayStore",
-    "shared_memory_available",
     # info
     "detect_blas_threading",
     "format_runtime_info",

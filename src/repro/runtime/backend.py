@@ -8,7 +8,7 @@ built in:
 ``numpy64`` (the default)
     The fixed-order float64 ``einsum`` kernel.  Its per-element accumulation
     order depends only on the feature dimension, so results are *bit-for-bit*
-    identical however the gallery columns are sharded or the probe columns
+    identical however the gallery columns are split or the probe columns
     are batched — this is the contract every bit-equivalence test pins.
 ``numpy32``
     Mixed precision: inputs are cast to float32 and contracted in float32.
@@ -19,15 +19,14 @@ built in:
 ``blas_blocked``
     The float64 contraction as a BLAS GEMM (``reference.T @ probe``).
     Fastest on large single blocks, but BLAS row-blocking is *not* bitwise
-    shard-stable, so this backend trades the bit-identity guarantee for
+    split-stable, so this backend trades the bit-identity guarantee for
     throughput; results agree with ``numpy64`` to within a few ulps.
 
 Selection goes through :func:`resolve_backend`, the one precision policy:
 an explicit backend name wins (and must agree with the requested precision);
 ``None`` keeps the bit-exact default for the precision; ``"auto"`` picks the
 fastest backend for the precision (``blas_blocked`` for float64, ``numpy32``
-for float32).  The registry is module-level, so process-pool workers resolve
-backend names shipped inside ``match_shard`` specs without extra plumbing.
+for float32).
 
 These guarantees propagate all the way up the stack: the serving layer and
 its HTTP wire codecs (:mod:`repro.service.codec`) deliver probe arrays to
@@ -87,12 +86,11 @@ class MatchingBackend:
     Attributes
     ----------
     name:
-        Registry name (also what ``match_shard`` specs carry across process
-        boundaries).
+        Registry name (what configs and CLI flags select the backend by).
     precision:
         ``"float64"`` or ``"float32"`` — what the contraction accumulates in.
     bit_exact:
-        Whether the backend honours the shard/batch bit-identity contract
+        Whether the backend honours the column-split bit-identity contract
         (only ``numpy64`` does; anything else must not be used where the
         bit-equivalence tests apply).
     """
@@ -125,11 +123,11 @@ class Numpy64Backend(MatchingBackend):
 
     The contraction order of ``einsum("ij,ik->jk", ..., optimize=False)``
     depends only on the feature dimension ``i``, never on how the ``j``
-    (gallery) or ``k`` (probe) axes are blocked, so any shard layout or
-    probe batching reproduces the single-block similarity exactly.  This is
-    a deliberate trade of peak GEMM throughput for shard invariance; see
-    :mod:`repro.gallery.matching` for why per-shard BLAS is not an option
-    on this path.
+    (gallery) or ``k`` (probe) axes are blocked, so any gallery-column
+    subset or probe batching reproduces the single-block similarity
+    exactly.  This is a deliberate trade of peak GEMM throughput for split
+    invariance; see :mod:`repro.gallery.matching` for why BLAS is not an
+    option on this path.
     """
 
     name = "numpy64"
@@ -190,7 +188,7 @@ class BlasBlockedBackend(MatchingBackend):
 
     BLAS blocks the accumulation internally (and may multithread it), which
     is exactly why this backend cannot honour the bit-identity contract:
-    one-column edge shards take a GEMV kernel with a different accumulation
+    one-column edge blocks take a GEMV kernel with a different accumulation
     order than the blocked GEMM.  Results agree with ``numpy64`` to within
     a few ulps; predictions agree wherever the match margin exceeds that.
     It is what the ``"auto"`` policy selects for float64 when bit-exactness
@@ -214,29 +212,13 @@ class BlasBlockedBackend(MatchingBackend):
         return _apply_masks_and_clip(similarity, reference_degenerate, probe_degenerate)
 
 
-#: Module-level registry: name -> backend instance (workers resolve names here).
+#: Module-level registry: name -> backend instance.
 _BACKENDS: Dict[str, MatchingBackend] = {}
 _registry_lock = threading.Lock()
-#: Bumped on every (re-)registration; persistent process pools compare it to
-#: decide whether their forked workers hold a stale registry snapshot.
-_registry_generation = 0
-
-
-def registry_generation() -> int:
-    """Monotonic counter of backend registrations (for pool staleness checks)."""
-    with _registry_lock:
-        return _registry_generation
 
 
 def register_backend(backend: MatchingBackend, overwrite: bool = False) -> MatchingBackend:
-    """Register a backend under its ``name`` (module-level, worker-visible).
-
-    Forked process-pool workers inherit the registry as of their fork;
-    :class:`~repro.runtime.runner.ExperimentRunner` watches the registry
-    generation and recycles a stale pool, so registrations made after a
-    pool's first run still reach workers.  Spawn-based pools re-import
-    modules instead, so there custom backends must register at import time.
-    """
+    """Register a backend under its ``name`` in the module-level registry."""
     name = getattr(backend, "name", "")
     if not name or name == "abstract":
         raise ValidationError("backend must carry a non-empty name")
@@ -244,14 +226,12 @@ def register_backend(backend: MatchingBackend, overwrite: bool = False) -> Match
         raise ValidationError(
             f"backend {name!r} must declare precision in {PRECISIONS}"
         )
-    global _registry_generation
     with _registry_lock:
         if name in _BACKENDS and not overwrite:
             raise ConfigurationError(
                 f"backend {name!r} is already registered (pass overwrite=True to replace)"
             )
         _BACKENDS[name] = backend
-        _registry_generation += 1
     return backend
 
 

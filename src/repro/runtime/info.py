@@ -127,11 +127,6 @@ def format_runtime_info(info: Dict[str, Any]) -> str:
         "workers             : "
         f"max_workers={workers['max_workers']} executor={workers['executor']} "
         f"base_seed={workers['base_seed']} cpu_count={workers['cpu_count']}"
-        + (
-            f" shared_transport={workers['shared_transport']}"
-            if "shared_transport" in workers
-            else ""
-        )
     )
     backends = info.get("backends") or []
     if backends:

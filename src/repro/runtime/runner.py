@@ -23,10 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError, ValidationError
-from repro.runtime.backend import get_backend
 from repro.runtime.batch import build_group_matrix_batched
 from repro.runtime.cache import (
     ArtifactCache,
@@ -36,12 +33,6 @@ from repro.runtime.cache import (
     set_default_cache,
 )
 from repro.runtime.results import RunResult, TimingRecorder
-from repro.runtime.shm import (
-    SharedArrayStore,
-    attach_shared_array,
-    is_shared_array_param,
-    shared_memory_available,
-)
 
 #: Paper experiment id → one-line description (the CLI's ``list`` output).
 PAPER_EXPERIMENTS: Dict[str, str] = {
@@ -281,83 +272,17 @@ def _task_experiment(spec: ExperimentSpec, ctx: TaskContext) -> Tuple[Dict[str, 
     return metrics, record
 
 
-def _param_array(value: Any, attachments: List[Any]) -> np.ndarray:
-    """Resolve a spec param that is either an inline array or a shm descriptor.
-
-    Shared-memory descriptors attach a zero-copy view; the attachment object
-    is appended to ``attachments`` so the caller can detach once the result
-    has been materialized.
-    """
-    if is_shared_array_param(value):
-        attached = attach_shared_array(value)
-        attachments.append(attached)
-        return attached.array
-    return np.asarray(value)
-
-
-def _task_match_shard(spec: ExperimentSpec, ctx: TaskContext) -> Tuple[Dict[str, float], Any]:
-    """One column shard of a gallery match: correlation of a reference block.
-
-    The gallery layer (:func:`repro.gallery.matching.match_against_gallery`)
-    splits a large reference gallery into column blocks and schedules one of
-    these specs per block; the similarity block comes back as the result
-    ``output``.  The spec carries pre-normalized columns (plus degenerate
-    masks) either inline or — on the zero-copy transport — as shared-memory
-    descriptors the worker attaches to instead of unpickling; ``columns``
-    then selects this shard's slice of the full reference.  The contraction
-    runs through the named matching backend (default ``numpy64``, the
-    shard-invariant kernel that keeps pooled results bit-identical to the
-    inline path).  Registered as a built-in kind so process-pool workers can
-    resolve it without importing the gallery package first.
-    """
-    p = spec.params
-    backend = get_backend(p.get("backend"))
-    attachments: List[Any] = []
-    try:
-        reference = _param_array(p["reference"], attachments)
-        probe = _param_array(p["probe"], attachments)
-        reference_degenerate = p.get("reference_degenerate")
-        if reference_degenerate is not None:
-            reference_degenerate = np.asarray(reference_degenerate, dtype=bool)
-        probe_degenerate = p.get("probe_degenerate")
-        if probe_degenerate is not None:
-            probe_degenerate = np.asarray(probe_degenerate, dtype=bool)
-        columns = p.get("columns")
-        if columns is not None:
-            start, stop = int(columns[0]), int(columns[1])
-            reference = reference[:, start:stop]
-            if reference_degenerate is not None:
-                reference_degenerate = reference_degenerate[start:stop]
-        with ctx.timings.section("match_s"):
-            similarity = backend.similarity(
-                reference, probe, reference_degenerate, probe_degenerate
-            )
-        metrics = {
-            "n_reference": float(similarity.shape[0]),
-            "n_probe": float(similarity.shape[1]),
-            "shared_transport": 1.0 if attachments else 0.0,
-        }
-        return metrics, similarity
-    finally:
-        # Drop the views before detaching: the similarity block is a fresh
-        # array, so nothing references the shared pages afterwards.
-        reference = probe = None
-        for attached in attachments:
-            attached.close()
-
-
 #: Registered task kinds (extensible; see :func:`register_task_kind`).
 TASK_KINDS: Dict[str, Callable[[ExperimentSpec, TaskContext], Tuple[Dict[str, float], Any]]] = {
     "attack": _task_attack,
     "defense": _task_defense,
     "inference": _task_inference,
     "experiment": _task_experiment,
-    "match_shard": _task_match_shard,
 }
 
 
-#: Bumped on task-kind registration; combined with the backend registry
-#: generation to detect process pools whose forked workers are stale.
+#: Bumped on task-kind registration, to detect process pools whose forked
+#: workers hold a stale snapshot of :data:`TASK_KINDS`.
 _task_kinds_generation = 0
 
 
@@ -371,13 +296,6 @@ def register_task_kind(
         raise ValidationError("task kind must be a non-empty string")
     TASK_KINDS[kind] = task
     _task_kinds_generation += 1
-
-
-def _registries_generation() -> int:
-    """Combined generation of every registry forked workers snapshot."""
-    from repro.runtime.backend import registry_generation
-
-    return registry_generation() + _task_kinds_generation
 
 
 def execute_spec(
@@ -477,13 +395,6 @@ class ExperimentRunner:
     shared_disk_cache:
         Explicit opt-out: ``False`` keeps process-pool workers memory-only
         (the pre-disk-tier behaviour, where each worker caches privately).
-    shared_transport:
-        Whether process-pool ``match_shard`` batches may publish their input
-        arrays into content-keyed ``multiprocessing.shared_memory`` segments
-        (workers attach zero-copy instead of unpickling megabytes per
-        shard).  ``False`` forces the legacy pickle transport.  Segments are
-        owned by the runner and released by :meth:`shutdown` (or on garbage
-        collection / interpreter exit via a finalizer).
     """
 
     def __init__(
@@ -494,7 +405,6 @@ class ExperimentRunner:
         base_seed: int = 0,
         cache_dir: Optional[Union[str, Path]] = None,
         shared_disk_cache: bool = True,
-        shared_transport: bool = True,
     ):
         if max_workers < 1:
             raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
@@ -521,10 +431,8 @@ class ExperimentRunner:
         self.max_workers = int(max_workers)
         self.executor = executor
         self.base_seed = int(base_seed)
-        self.shared_transport = bool(shared_transport)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_generation = -1
-        self._shared_store: Optional[SharedArrayStore] = None
 
     @property
     def cache_dir(self) -> Optional[Path]:
@@ -582,19 +490,16 @@ class ExperimentRunner:
             return execute_spec(spec, spec.resolved_seed(self.base_seed), cache=self.cache)
 
     # ------------------------------------------------------------------ #
-    # Pool / shared-transport lifecycle
+    # Pool lifecycle
     # ------------------------------------------------------------------ #
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """The persistent process pool (created lazily, reused across runs).
 
-        Reuse matters for serving workloads: a sharded identify per request
-        must not pay pool spawn each time, and the zero-copy transport only
-        amortizes if the workers that attached a segment stay alive to reuse
-        the mapping.  Forked workers snapshot the backend/task-kind
-        registries at fork, so a pool created before a later registration
-        is stale — it is recycled here, and the fresh fork sees the update.
+        Forked workers snapshot the task-kind registry at fork, so a pool
+        created before a later :func:`register_task_kind` is stale — it is
+        recycled here, and the fresh fork sees the update.
         """
-        generation = _registries_generation()
+        generation = _task_kinds_generation
         if self._pool is not None and self._pool_generation != generation:
             pool, self._pool = self._pool, None
             pool.shutdown(wait=True)
@@ -603,65 +508,15 @@ class ExperimentRunner:
             self._pool_generation = generation
         return self._pool
 
-    @property
-    def supports_shared_transport(self) -> bool:
-        """Whether ``match_shard`` batches may ship inputs via shared memory."""
-        return (
-            self.shared_transport
-            and self.executor == "process"
-            and self.max_workers > 1
-            and shared_memory_available()
-        )
-
-    def publish_array(self, array: np.ndarray) -> Dict[str, Any]:
-        """Publish an array into the runner-owned shared store.
-
-        Returns the picklable descriptor to embed in spec params.  Content-
-        keyed: repeated publishes of identical bytes reuse the segment, so a
-        warm identify ships only descriptors.
-        """
-        if not self.supports_shared_transport:
-            raise ConfigurationError(
-                "this runner does not support shared-memory transport "
-                "(requires executor='process', max_workers>1, and "
-                "shared_transport=True)"
-            )
-        if self._shared_store is None:
-            self._shared_store = SharedArrayStore()
-        return self._shared_store.publish(array)
-
-    def lease_arrays(self, arrays: Sequence[np.ndarray]):
-        """Publish arrays pinned against eviction; yields their descriptors.
-
-        Context manager.  Wrap the ``run()`` that consumes the descriptors:
-        each segment is pinned atomically with its publish, so a concurrent
-        caller publishing fresh content can never LRU-evict a segment whose
-        descriptors are embedded in this batch's specs.  Pins release on
-        exit; the segments themselves stay published (content-keyed reuse)
-        until evicted or :meth:`shutdown`.
-        """
-        if not self.supports_shared_transport:
-            raise ConfigurationError(
-                "this runner does not support shared-memory transport "
-                "(requires executor='process', max_workers>1, and "
-                "shared_transport=True)"
-            )
-        if self._shared_store is None:
-            self._shared_store = SharedArrayStore()
-        return self._shared_store.leased(arrays)
-
     def shutdown(self) -> None:
-        """Release the worker pool and unlink every shared-memory segment.
+        """Release the worker pool.
 
-        Idempotent; the runner remains usable (pool and segments are
-        recreated lazily on the next run).
+        Idempotent; the runner remains usable (the pool is recreated lazily
+        on the next run).
         """
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        store, self._shared_store = self._shared_store, None
-        if store is not None:
-            store.release()
 
     def __enter__(self) -> "ExperimentRunner":
         return self
@@ -681,7 +536,6 @@ class ExperimentRunner:
     def worker_config(self) -> Dict[str, Any]:
         """Pool configuration for reports and ``runtime-info``."""
         cache_dir = self.cache_dir
-        store = self._shared_store
         return {
             "max_workers": self.max_workers,
             "executor": self.executor,
@@ -689,9 +543,6 @@ class ExperimentRunner:
             "cpu_count": os.cpu_count() or 1,
             "cache_dir": str(cache_dir) if cache_dir is not None else None,
             "shared_disk_cache": self.shared_disk_cache,
-            "shared_transport": self.supports_shared_transport,
-            "shared_segments": store.n_segments if store is not None else 0,
-            "shared_bytes": store.total_bytes if store is not None else 0,
         }
 
 

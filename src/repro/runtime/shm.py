@@ -1,305 +1,11 @@
-"""Zero-copy shard transport: content-keyed shared-memory array segments.
+"""The ``/dev/shm`` name prefix that the leak checks look for.
 
-Process-pool shard matching used to pickle its inputs through the executor:
-every ``match_shard`` spec carried a contiguous copy of its reference block
-*plus* the full probe matrix, so one sharded identify moved megabytes through
-the pipe per shard — and a repeated identify moved all of them again.
-
-:class:`SharedArrayStore` replaces that with ``multiprocessing.shared_memory``
-segments published **once** per distinct array content:
-
-* ``publish`` copies an array into a named segment and returns a small,
-  picklable descriptor (name + dtype + shape).  Segments are content-keyed by
-  :func:`~repro.runtime.cache.frozen_array_digest`, so publishing the same
-  array (or another array with identical bytes) again returns the existing
-  descriptor without copying anything.
-* Workers :func:`attach_shared_array` to the named segment and get a NumPy
-  view straight onto the shared pages — no unpickling, no copy.
-* The store owns the segment lifecycle: :meth:`release` (called by
-  ``ExperimentRunner.shutdown``) closes and unlinks everything, and a
-  ``weakref.finalize`` fallback does the same on garbage collection or
-  interpreter exit, so no ``/dev/shm`` entries outlive the process.
+Nothing in the stack creates POSIX shared-memory segments: matching runs in
+process and fleet workers talk over socket pairs.  The serving tests and
+the chaos, fleet-churn and perfbench runs still glob ``/dev/shm`` for this
+prefix after shutdown, so any code that starts publishing segments under it
+without releasing them fails those checks.
 """
 
-from __future__ import annotations
-
-import os
-import secrets
-import threading
-import weakref
-from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
-
-from repro.exceptions import ValidationError
-from repro.runtime.cache import frozen_array_digest
-
-#: Default LRU bound on live segments per store.  Serving traffic publishes
-#: a fresh probe segment per distinct batch content; without a bound those
-#: would accumulate until shutdown.  Two segments per matching call (gallery
-#: + probe) means 64 comfortably covers every in-flight run while keeping
-#: ``/dev/shm`` usage proportional to recent traffic, not total traffic.
-DEFAULT_MAX_SEGMENTS = 64
-
-try:  # pragma: no cover - import guard for exotic platforms
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-
-#: Marker key identifying a shared-array descriptor inside spec params.
-SHARED_ARRAY_KEY = "__shared_array__"
-
-#: Prefix of every segment name this module creates (it is what the leak
-#: tests grep ``/dev/shm`` for).
+#: Prefix of every segment name the leak checks glob ``/dev/shm`` for.
 SEGMENT_PREFIX = "repro-shm"
-
-
-def shared_memory_available() -> bool:
-    """Whether POSIX shared memory is usable on this platform."""
-    return _shared_memory is not None
-
-
-def is_shared_array_param(value: Any) -> bool:
-    """Whether ``value`` is a descriptor produced by :meth:`SharedArrayStore.publish`."""
-    return isinstance(value, dict) and value.get(SHARED_ARRAY_KEY) is True
-
-
-class AttachedArray:
-    """A worker-side view onto a published segment.
-
-    ``array`` is a read-only NumPy view straight onto the shared pages; no
-    bytes are copied.  :meth:`close` drops the view and detaches the segment
-    (best-effort: results must be materialized before closing, and a close
-    racing an outstanding buffer export is swallowed rather than allowed to
-    mask the task's real outcome — the mapping is reclaimed at worker exit
-    regardless).
-    """
-
-    def __init__(self, descriptor: Dict[str, Any]):
-        if not shared_memory_available():  # pragma: no cover - linux always has it
-            raise ValidationError("shared memory is not available on this platform")
-        self._shm = _shared_memory.SharedMemory(name=descriptor["name"])
-        array = np.ndarray(
-            tuple(descriptor["shape"]),
-            dtype=np.dtype(descriptor["dtype"]),
-            buffer=self._shm.buf,
-        )
-        array.flags.writeable = False
-        self.array: Optional[np.ndarray] = array
-
-    def close(self) -> None:
-        self.array = None
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - a live view still references us
-            pass
-
-
-def attach_shared_array(descriptor: Dict[str, Any]) -> AttachedArray:
-    """Attach to a published segment and view it as the described array."""
-    if not is_shared_array_param(descriptor):
-        raise ValidationError("not a shared-array descriptor")
-    return AttachedArray(descriptor)
-
-
-def _discard_segment(segment: Any) -> None:
-    """Best-effort close + unlink of one segment."""
-    try:
-        segment.close()
-    except BufferError:  # pragma: no cover - view still exported
-        pass
-    try:
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - already unlinked
-        pass
-
-
-def _release_segments(segments: Dict[str, Tuple[Any, Dict[str, Any]]]) -> None:
-    """Close and unlink every segment (idempotent; shared with the finalizer)."""
-    while segments:
-        _, (segment, _) = segments.popitem()
-        _discard_segment(segment)
-
-
-class SharedArrayStore:
-    """Publisher side of the zero-copy transport (owned by the runner).
-
-    Segments are keyed on array *content*: repeated publishes of the same
-    normalized gallery or probe matrix — the shape of repeated identify
-    traffic — reuse the existing segment, so the copy into shared memory is
-    paid once per distinct content, not once per call.  Live segments are
-    LRU-bounded by ``max_segments``: once serving traffic has moved past a
-    content, its segment is unlinked on a later publish instead of pinning
-    ``/dev/shm`` until shutdown.  A concurrent run that has already
-    embedded a descriptor in its specs but whose workers have not yet
-    attached protects its segments with :meth:`pinned` — pinned segments
-    are never LRU-evicted (``release`` still unlinks everything).
-    """
-
-    def __init__(self, max_segments: int = DEFAULT_MAX_SEGMENTS):
-        if not shared_memory_available():  # pragma: no cover - linux always has it
-            raise ValidationError("shared memory is not available on this platform")
-        if max_segments < 2:
-            # One matching call publishes two arrays (gallery + probe); a
-            # smaller bound would evict a segment its own run still needs.
-            raise ValidationError(
-                f"max_segments must be >= 2, got {max_segments}"
-            )
-        self.max_segments = int(max_segments)
-        self.evictions = 0
-        self._segments: "OrderedDict[str, Tuple[Any, Dict[str, Any]]]" = OrderedDict()
-        self._pins: Dict[str, int] = {}
-        self._lock = threading.Lock()
-        self._finalizer = weakref.finalize(self, _release_segments, self._segments)
-
-    # ------------------------------------------------------------------ #
-    # Publishing
-    # ------------------------------------------------------------------ #
-    def publish(self, array: np.ndarray, pin: bool = False) -> Dict[str, Any]:
-        """Publish ``array`` into shared memory; return its picklable descriptor.
-
-        The content digest freezes owning arrays
-        (:func:`~repro.runtime.cache.frozen_array_digest`), so a repeat
-        publish of the same object keys in microseconds and cannot go stale.
-        ``pin=True`` pins the segment *atomically* with the publish (under
-        the same lock acquisition that inserts or touches it), so there is
-        no window in which a concurrent publish could LRU-evict it before
-        the caller's :meth:`pinned`/:meth:`leased` guard takes effect; the
-        caller owns the matching unpin.
-        """
-        arr = np.ascontiguousarray(array)
-        digest = frozen_array_digest(arr)
-        with self._lock:
-            entry = self._segments.get(digest)
-            if entry is not None:
-                self._segments.move_to_end(digest)
-                if pin:
-                    self._pin_locked(entry[1]["name"])
-                return dict(entry[1])
-        # Create and fill the segment outside the lock: the memcpy is the
-        # expensive part, and holding the lock across it would serialize
-        # every concurrent publish (including pure lookups) behind it.
-        segment = self._create_segment(max(int(arr.nbytes), 1))
-        if arr.nbytes:
-            target = np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf)
-            np.copyto(target, arr, casting="no")
-            del target
-        descriptor = {
-            SHARED_ARRAY_KEY: True,
-            "name": segment.name,
-            "dtype": str(arr.dtype),
-            "shape": tuple(int(n) for n in arr.shape),
-        }
-        with self._lock:
-            entry = self._segments.get(digest)
-            if entry is None:
-                self._segments[digest] = (segment, descriptor)
-                if pin:
-                    self._pin_locked(descriptor["name"])
-                self._evict_lru_locked()
-                return dict(descriptor)
-            # Lost a publish race for the same content: keep the winner.
-            self._segments.move_to_end(digest)
-            if pin:
-                self._pin_locked(entry[1]["name"])
-            winner = dict(entry[1])
-        _discard_segment(segment)
-        return winner
-
-    def _evict_lru_locked(self) -> None:
-        """Unlink least-recently-used unpinned segments beyond the bound."""
-        if len(self._segments) <= self.max_segments:
-            return
-        for digest in list(self._segments):
-            if len(self._segments) <= self.max_segments:
-                break
-            segment, meta = self._segments[digest]
-            if self._pins.get(meta["name"], 0) > 0:
-                continue  # an in-flight run still references it
-            del self._segments[digest]
-            _discard_segment(segment)
-            self.evictions += 1
-
-    def _pin_locked(self, name: str) -> None:
-        self._pins[name] = self._pins.get(name, 0) + 1
-
-    def _unpin_locked(self, name: str) -> None:
-        count = self._pins.get(name, 0) - 1
-        if count > 0:
-            self._pins[name] = count
-        else:
-            self._pins.pop(name, None)
-
-    @contextmanager
-    def pinned(self, names: Iterable[str]):
-        """Protect the named segments from LRU eviction for a code block."""
-        names = [str(name) for name in names]
-        with self._lock:
-            for name in names:
-                self._pin_locked(name)
-        try:
-            yield
-        finally:
-            with self._lock:
-                for name in names:
-                    self._unpin_locked(name)
-
-    @contextmanager
-    def leased(self, arrays: Iterable[np.ndarray]):
-        """Publish every array pinned-from-birth; yield their descriptors.
-
-        This is the transport entry point pooled matching uses: each
-        publish pins its segment under the same lock acquisition, so there
-        is no instant at which a descriptor exists for an unpinned segment
-        — concurrent publishes by other requests can never unlink a segment
-        whose descriptors are in flight to workers.  Pins are released when
-        the context exits (including on a failed publish partway through).
-        """
-        descriptors: List[Dict[str, Any]] = []
-        try:
-            for array in arrays:
-                descriptors.append(self.publish(array, pin=True))
-            yield list(descriptors)
-        finally:
-            with self._lock:
-                for descriptor in descriptors:
-                    self._unpin_locked(descriptor["name"])
-
-    @staticmethod
-    def _create_segment(nbytes: int):
-        """A fresh named segment under the recognizable ``repro-shm`` prefix."""
-        for _ in range(8):
-            name = f"{SEGMENT_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
-            try:
-                return _shared_memory.SharedMemory(create=True, size=nbytes, name=name)
-            except FileExistsError:  # pragma: no cover - 32-bit token collision
-                continue
-        # Fall back to an interpreter-chosen name rather than failing the call.
-        return _shared_memory.SharedMemory(create=True, size=nbytes)  # pragma: no cover
-
-    # ------------------------------------------------------------------ #
-    # Introspection / lifecycle
-    # ------------------------------------------------------------------ #
-    @property
-    def n_segments(self) -> int:
-        """How many distinct-content segments are currently published."""
-        with self._lock:
-            return len(self._segments)
-
-    @property
-    def total_bytes(self) -> int:
-        """Shared bytes currently held across all segments."""
-        with self._lock:
-            return sum(segment.size for segment, _ in self._segments.values())
-
-    def segment_names(self) -> List[str]:
-        """Names of every live segment (for tests and diagnostics)."""
-        with self._lock:
-            return sorted(meta["name"] for _, meta in self._segments.values())
-
-    def release(self) -> None:
-        """Close and unlink every published segment (idempotent)."""
-        with self._lock:
-            _release_segments(self._segments)

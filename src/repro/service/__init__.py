@@ -8,16 +8,16 @@ service (datasets → gallery → service):
     :class:`IdentifyResponse`, :class:`EnrollRequest`,
     :class:`EnrollResponse`, :class:`ServiceStats`) with JSON round-trip.
 ``config``
-    :class:`ServiceConfig` — every cache/shard/worker/batching knob of a
+    :class:`ServiceConfig` — every cache/backend/batching/fleet knob of a
     deployment in one validated, serializable object.
 ``registry``
     :class:`GalleryRegistry` — named, persistable
     :class:`~repro.gallery.reference.ReferenceGallery` instances sharing one
-    artifact cache and runner pool.
+    artifact cache.
 ``service``
     :class:`IdentificationService` — sync and ``asyncio`` identification,
     with the async path micro-batching concurrent requests into one stacked
-    sharded match (bit-identical to serial identifies).
+    match (bit-identical to serial identifies).
 ``codec``
     The wire codecs of the HTTP transport: the JSON scan form (the
     bit-identity oracle) and the ``application/x-repro-frames`` binary

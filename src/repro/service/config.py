@@ -1,12 +1,10 @@
 """One configuration object for the whole serving stack.
 
-Before the service layer, the knobs steering an identification deployment
-were scattered across three constructors: fit parameters on
-:class:`~repro.attack.pipeline.AttackPipeline`, shard/cache settings on
-:class:`~repro.gallery.reference.ReferenceGallery`, and worker-pool settings
-on :class:`~repro.runtime.runner.ExperimentRunner`.  :class:`ServiceConfig`
-owns all of them in one typed, JSON-round-trippable place and knows how to
-build the cache, the runner, and gallery constructor kwargs from itself.
+:class:`ServiceConfig` owns every knob of an identification deployment —
+gallery fit parameters, the matching backend, cache tiers, batching, HTTP,
+the router fleet and fault injection — in one typed, JSON-round-trippable
+place, and knows how to build the cache and gallery constructor kwargs from
+itself.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.runtime.cache import (
     get_default_cache,
 )
 from repro.runtime.faults import FaultPlan
-from repro.runtime.runner import ExperimentRunner
 
 
 @dataclass
@@ -40,9 +37,6 @@ class ServiceConfig:
         :class:`~repro.gallery.reference.ReferenceGallery`).  ``random_state``
         is restricted to ``None`` or an integer so the config can round-trip
         through JSON (generator objects also defeat artifact caching).
-    shard_size:
-        Gallery columns per matching shard (``None`` = single block; results
-        are bit-identical either way).
     backend / precision:
         The matching-backend policy (see
         :func:`repro.runtime.backend.resolve_backend`).  ``backend=None``
@@ -52,13 +46,6 @@ class ServiceConfig:
         an explicit name must agree with ``precision``.  ``precision``
         defaults to float64 — float32 is opt-in only, with a rank-agreement
         (not bit-identity) guarantee.
-    max_workers / executor:
-        Worker pool computing matching shards; ``max_workers=1`` keeps
-        everything inline and pool-free.
-    shared_transport:
-        Whether process-pool shard matching may ship its inputs through
-        content-keyed shared-memory segments instead of pickling them
-        (``True`` by default; the results are identical either way).
     max_galleries / gallery_ttl_s:
         Registry residency policy: at most ``max_galleries`` galleries held
         in memory (least-recently-used persisted galleries are evicted
@@ -115,7 +102,8 @@ class ServiceConfig:
         ring rebuilds).  Each worker runs its own
         :class:`~repro.service.service.IdentificationService` over the
         shared disk root, with the TTL/LRU residency policy applied per
-        worker.
+        worker.  This is the serving stack's only process parallelism;
+        matching itself runs in process.
     request_deadline_s:
         Deadline on every router data-channel IPC read
         (:class:`~repro.service.router.GalleryRouter`).  A worker that does
@@ -145,8 +133,8 @@ class ServiceConfig:
         How long a live ``remove_worker`` waits for the leaving worker to
         drain — finish its in-flight request, persist resident galleries,
         and return its final stats snapshot.  A worker that misses the
-        deadline is handled like a crash: SIGKILLed, ``/dev/shm`` swept,
-        and its last *polled* stats snapshot carried instead.
+        deadline is handled like a crash: SIGKILLed, and its last *polled*
+        stats snapshot carried instead.
     admin_token:
         Bearer token of the fleet-administration endpoint
         (``POST /admin/workers``).  ``None`` (the default) disables the
@@ -176,12 +164,8 @@ class ServiceConfig:
     fisher: bool = False
     method: str = "exact"
     random_state: Optional[int] = None
-    shard_size: Optional[int] = None
     backend: Optional[str] = None
     precision: str = "float64"
-    max_workers: int = 1
-    executor: str = "thread"
-    shared_transport: bool = True
     cache_dir: Optional[str] = None
     max_memory_items: int = _DEFAULT_MAX_MEMORY_ITEMS
     max_memory_bytes: int = _DEFAULT_MAX_MEMORY_BYTES
@@ -226,10 +210,6 @@ class ServiceConfig:
                 "not JSON-round-trip and defeat artifact caching); got "
                 f"{type(self.random_state).__name__}"
             )
-        if self.shard_size is not None and int(self.shard_size) < 1:
-            raise ConfigurationError(
-                f"shard_size must be >= 1 or None, got {self.shard_size}"
-            )
         if self.precision not in PRECISIONS + (INDEXED_PRECISION,):
             raise ConfigurationError(
                 "precision must be one of "
@@ -253,12 +233,6 @@ class ServiceConfig:
         if self.gallery_ttl_s is not None and float(self.gallery_ttl_s) <= 0:
             raise ConfigurationError(
                 f"gallery_ttl_s must be > 0 or None, got {self.gallery_ttl_s}"
-            )
-        if self.max_workers < 1:
-            raise ConfigurationError(f"max_workers must be >= 1, got {self.max_workers}")
-        if self.executor not in ("thread", "process"):
-            raise ConfigurationError(
-                f"executor must be 'thread' or 'process', got {self.executor!r}"
             )
         if self.max_batch_size < 1:
             raise ConfigurationError(
@@ -364,17 +338,6 @@ class ServiceConfig:
             max_memory_bytes=self.max_memory_bytes,
         )
 
-    def build_runner(self, cache: Optional[ArtifactCache] = None) -> Optional[ExperimentRunner]:
-        """The shard-matching worker pool, or ``None`` for inline matching."""
-        if self.max_workers == 1:
-            return None
-        return ExperimentRunner(
-            cache=cache,
-            max_workers=self.max_workers,
-            executor=self.executor,
-            shared_transport=self.shared_transport,
-        )
-
     def resolved_backend(self) -> str:
         """The matching-backend name the backend/precision policy selects."""
         return resolve_backend(self.backend, self.precision).name
@@ -397,7 +360,6 @@ class ServiceConfig:
             "fisher": self.fisher,
             "method": self.method,
             "random_state": self.random_state,
-            "shard_size": self.shard_size,
             "backend": self.resolved_backend(),
         }
         if self.index_active:

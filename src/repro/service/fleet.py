@@ -31,7 +31,7 @@ module owns the control plane:
         the data-channel lock, the ``drain`` op persists resident galleries
         and returns a final stats snapshot that is folded into the carried
         accumulator) → join the cleanly-exiting process (SIGKILL escalation
-        + ``/dev/shm`` sweep only if the drain failed) → retire the breaker.
+        only if the drain failed) → retire the breaker.
 
     One resize runs at a time (:class:`ResizeInProgress` otherwise), and
     identifies issued during a resize stay bit-identical to single-process
@@ -65,7 +65,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import ValidationError
-from repro.runtime.shm import SEGMENT_PREFIX
 from repro.service.config import ServiceConfig
 from repro.service.codec import FrameError
 from repro.service.registry import _GALLERY_META_FILE
@@ -73,10 +72,6 @@ from repro.service.resilience import BreakerRegistry, ResiliencePolicy
 from repro.service.worker import recv_message, send_message, worker_main
 
 PathLike = Union[str, Path]
-
-#: Where POSIX shared-memory segments surface on Linux (the crash sweep
-#: removes a dead worker's ``repro-shm-<pid>-*`` entries from here).
-_SHM_DIR = Path("/dev/shm")
 
 #: How many completed resize records ``/stats`` keeps (newest last).
 _RESIZE_HISTORY = 32
@@ -499,7 +494,7 @@ class FleetControlPlane:
             )
 
     def _reap(self, handle: WorkerHandle, kill_first: bool = False) -> None:
-        """Close channels, join (escalating to kill), sweep leaked segments."""
+        """Close channels, then join (escalating to kill)."""
         for sock in (handle.data_sock, handle.control_sock):
             try:
                 sock.close()
@@ -521,27 +516,6 @@ class FleetControlPlane:
         if process.is_alive():  # pragma: no cover - unkillable worker
             process.kill()
             process.join(timeout=5.0)
-        self._sweep_segments(handle.pid)
-
-    @staticmethod
-    def _sweep_segments(pid: Optional[int]) -> int:
-        """Unlink ``/dev/shm`` segments a killed worker pid left behind.
-
-        A cleanly-draining worker releases its own segments before exiting;
-        this sweep covers SIGKILL (no finalizers ran in the worker).  Segment
-        names embed the creating pid, so the sweep can never touch another
-        process's segments.
-        """
-        if pid is None or not _SHM_DIR.exists():
-            return 0
-        swept = 0
-        for path in _SHM_DIR.glob(f"{SEGMENT_PREFIX}-{int(pid)}-*"):
-            try:
-                path.unlink()
-                swept += 1
-            except OSError:  # pragma: no cover - raced with another cleaner
-                pass
-        return swept
 
     # ------------------------------------------------------------------ #
     # Resize IPC (warm / drain — control-plane ops, never retried)
@@ -760,11 +734,11 @@ class FleetControlPlane:
         finishes (the data lock serializes), the ``drain`` op persists
         resident galleries and returns a final stats snapshot folded into
         the carried accumulator (fleet totals never regress), and the
-        process is reaped with the SIGKILL-escalation ladder + ``/dev/shm``
-        sweep.  Its breaker is retired from the active registry.  A drain
-        that misses ``config.drain_deadline_s`` falls back to the crash
-        path: the worker is killed and its last *polled* snapshot is carried
-        instead (anything unpolled died with it — counted never twice).
+        process is reaped with the SIGKILL-escalation ladder.  Its breaker
+        is retired from the active registry.  A drain that misses
+        ``config.drain_deadline_s`` falls back to the crash path: the worker
+        is killed and its last *polled* snapshot is carried instead
+        (anything unpolled died with it — counted never twice).
         """
         self._check_open()
         if not self._resize_mutex.acquire(blocking=False):
@@ -838,9 +812,8 @@ class FleetControlPlane:
                         f"{name} (pid {handle.pid}): drain failed ({drain_error})"
                     )
             # An acked drain means the worker is already exiting its serve
-            # loop on its own (pool shutdown, finalizers, segment release):
-            # join it gracefully.  Only a failed drain — dead, hung, or
-            # deadline miss — goes straight to SIGKILL + sweep.
+            # loop on its own: join it gracefully.  Only a failed drain —
+            # dead, hung, or deadline miss — goes straight to SIGKILL.
             self._reap(handle, kill_first=not drained)
             retired_breaker = self.breakers.retire(name)
             record = {
@@ -959,8 +932,7 @@ class FleetControlPlane:
 
         Each worker is drained in turn — its in-flight request finishes
         (the data lock serializes), the ``shutdown`` op is acknowledged,
-        and the process is joined, which releases that worker's runner pool
-        and ``/dev/shm`` segments before the channel ends close.
+        and the process is joined before the channel ends close.
         """
         with self._close_lock:
             if self._closed:

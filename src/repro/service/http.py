@@ -58,7 +58,7 @@ close — never a connection desync.
 Shutdown is graceful: :meth:`HttpServiceServer.shutdown` stops accepting,
 drains every in-flight request (letting pending micro-batches flush), and
 closes idle connections — the CLI's ``serve --http`` mode wires SIGINT /
-SIGTERM to it and calls ``service.close()`` afterwards.
+SIGTERM to it (and, in routed mode, drains the fleet afterwards).
 
 :class:`ServiceClient` is the matching blocking client on stdlib
 ``http.client``: it holds **one keep-alive connection** across requests

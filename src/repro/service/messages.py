@@ -2,7 +2,7 @@
 
 Every interaction with :class:`~repro.service.service.IdentificationService`
 goes through one of these dataclasses instead of positional kwargs, so the
-service internals (micro-batching, sharding, caching) can evolve without
+service internals (micro-batching, caching) can evolve without
 breaking callers.  Like :class:`~repro.runtime.results.RunResult`, each
 message JSON-round-trips through ``to_dict``/``from_dict``; heavyweight
 payloads (scan records, group matrices, match results) ride along in-process

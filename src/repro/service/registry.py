@@ -6,7 +6,7 @@ named :class:`~repro.gallery.reference.ReferenceGallery` instances that can
 be built from scans, enrolled into, evicted from memory, persisted to a root
 directory (via the gallery's own ``save``/``load``), and lazily reloaded on
 first use after a restart.  All galleries share the registry's artifact
-cache, (optional) shard-matching runner pool, and matching backend.
+cache and matching backend.
 
 Residency is bounded for many-gallery deployments: ``max_galleries`` caps
 how many galleries stay resident (least-recently-used persisted galleries
@@ -63,10 +63,10 @@ class GalleryRegistry:
         explicit directory).
     config:
         :class:`~repro.service.config.ServiceConfig` providing the fit
-        parameters for :meth:`build` and the cache/runner wiring.
-    cache / runner:
-        Explicit overrides for the artifact cache and the shard-matching
-        worker pool; default to what ``config`` builds.
+        parameters for :meth:`build` and the cache wiring.
+    cache:
+        Explicit override for the artifact cache; defaults to what
+        ``config`` builds.
     max_galleries / ttl_seconds:
         Residency bounds (default to the config's ``max_galleries`` /
         ``gallery_ttl_s``).  ``None`` disables the respective bound.  Only
@@ -81,14 +81,12 @@ class GalleryRegistry:
         root: Optional[PathLike] = None,
         config: Optional[ServiceConfig] = None,
         cache: Optional[ArtifactCache] = None,
-        runner=None,
         max_galleries: Optional[int] = None,
         ttl_seconds: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.config = config if config is not None else ServiceConfig()
         self.cache = cache if cache is not None else self.config.build_cache()
-        self.runner = runner if runner is not None else self.config.build_runner(self.cache)
         self.backend = self.config.resolved_backend()
         self.root = Path(root) if root is not None else None
         self.max_galleries = (
@@ -118,7 +116,6 @@ class GalleryRegistry:
         self._backend_overrides: Dict[str, str] = {}
         self._auto_evictions = 0
         self._lock = threading.RLock()
-        self._close_lock = threading.Lock()
 
     @staticmethod
     def _state_token(gallery: ReferenceGallery) -> Any:
@@ -171,13 +168,10 @@ class GalleryRegistry:
     def register(self, name: str, gallery: ReferenceGallery) -> ReferenceGallery:
         """Adopt an already-fitted gallery under ``name``.
 
-        The registry's runner pool and matching backend are attached when
-        the gallery has none, so service-side sharded matching works without
-        re-wiring the gallery.
+        The registry's matching backend is attached when the gallery has
+        none, so every gallery a registry serves matches the same way.
         """
         name = _check_name(name)
-        if gallery.runner is None:
-            gallery.runner = self.runner
         if gallery.backend is None:
             gallery.backend = self.backend
         with self._lock:
@@ -236,9 +230,7 @@ class GalleryRegistry:
             )
         with self._lock:
             backend = self._backend_overrides.get(name, self.backend)
-        gallery = ReferenceGallery.load(
-            directory, cache=self.cache, runner=self.runner, backend=backend
-        )
+        gallery = ReferenceGallery.load(directory, cache=self.cache, backend=backend)
         with self._lock:
             # Another thread may have loaded it meanwhile; first one wins.
             winner = self._galleries.setdefault(name, gallery)
@@ -355,21 +347,6 @@ class GalleryRegistry:
             loaded.append(name)
         return loaded
 
-    def close(self) -> None:
-        """Release the shard-matching runner's pool and shared-memory segments.
-
-        The registry stays usable (galleries remain registered; the runner
-        lazily respawns its pool), so this is safe to call between bursts of
-        traffic as well as at shutdown.  Idempotent and thread-safe: a
-        second ``close()`` is a no-op, concurrent closes serialize on a
-        dedicated lock (never the registry lock, so a close can't deadlock
-        against serving), and a shard run in flight simply finishes first —
-        ``ExperimentRunner.shutdown`` waits for its pool.
-        """
-        with self._close_lock:
-            if self.runner is not None and hasattr(self.runner, "shutdown"):
-                self.runner.shutdown()
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -385,7 +362,6 @@ class GalleryRegistry:
                     "resident": True,
                     "n_subjects": gallery.n_subjects,
                     "n_features": gallery.n_features,
-                    "shard_size": gallery.shard_size,
                     "backend": gallery.backend,
                     "fingerprint": gallery.fingerprint,
                 }

@@ -45,7 +45,7 @@ worker.
 deadline (``config.request_deadline_s``), so a worker that *hangs* is
 indistinguishable from one that died: the read times out and the worker is
 handled as dead.  Deaths are reported to the control plane, which reaps
-(SIGKILL-first), sweeps ``/dev/shm``, folds the last-polled stats snapshot
+(SIGKILL-first), folds the last-polled stats snapshot
 into the carried accumulators, and respawns.  Identify is read-only and is
 retried (bounded by ``config.retry_attempts``, jittered exponential
 backoff) — each attempt re-routes, so a retry that lands after a resize
@@ -608,8 +608,7 @@ class GalleryRouter:
         New requests are rejected first; the control plane then drains each
         worker in turn — its in-flight request finishes (the data lock
         serializes), the ``shutdown`` op is acknowledged, and the process
-        is joined, which releases that worker's runner pool and
-        ``/dev/shm`` segments before the channel ends close.
+        is joined before the channel ends close.
         """
         self._closed = True
         self.fleet.close()

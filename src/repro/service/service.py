@@ -9,7 +9,7 @@ request/response messages and serves identification two ways:
   requests inline.
 * **Async** — :meth:`identify_async` submits a request to a per-event-loop
   micro-batcher that coalesces every concurrently awaited request targeting
-  the same gallery into **one** stacked sharded match.
+  the same gallery into **one** stacked match.
 
 Micro-batching is bit-exact by construction: each request's probe columns
 are reduced and normalized exactly as a serial
@@ -99,7 +99,6 @@ class IdentificationService:
         #: post-enroll selector against pre-enroll signatures.
         self._serve_lock = threading.RLock()
         self._stats_lock = threading.Lock()
-        self._close_lock = threading.Lock()
         self._requests = 0
         self._probes = 0
         self._batches = 0
@@ -172,7 +171,7 @@ class IdentificationService:
     def identify_many(self, requests: Sequence[IdentifyRequest]) -> List[IdentifyResponse]:
         """Serve many requests at once, coalescing per target gallery.
 
-        Requests targeting the same gallery share one stacked sharded match;
+        Requests targeting the same gallery share one stacked match;
         responses come back in input order and are bit-identical to serving
         each request through a serial ``ReferenceGallery.identify``.
         """
@@ -212,18 +211,13 @@ class IdentificationService:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release pooled matching resources (worker pool, shm segments).
+        """Lifecycle hook shared with :class:`~repro.service.router.GalleryRouter`.
 
-        Delegates to the registry; serving stays possible afterwards (the
-        pool respawns lazily), so this is a resource checkpoint, not a
-        terminal shutdown.  Idempotent and thread-safe: a second ``close()``
-        is a no-op, and calling it with requests in flight is allowed —
-        the HTTP shutdown path invokes it from a signal handler while the
-        last batches drain.  It deliberately does **not** take the serve
-        lock, so it can never deadlock against an in-flight batch.
+        An in-process service holds nothing to release — matching runs
+        inline — so this is a no-op.  It exists so the HTTP front end, the
+        CLI and router workers close either kind of service the same way;
+        serving stays possible afterwards.
         """
-        with self._close_lock:
-            self.registry.close()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -341,8 +335,6 @@ class IdentificationService:
                         stacked,
                         ref_degenerate,
                         stacked_mask,
-                        shard_size=gallery.shard_size,
-                        runner=gallery.runner,
                         backend=gallery.backend,
                         index=index,
                         index_top_c=self.config.index_top_c,

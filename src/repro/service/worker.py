@@ -29,8 +29,8 @@ The worker ignores ``SIGINT`` (a terminal Ctrl-C reaches the whole process
 group; the router drains workers explicitly) and exits when the router sends
 the ``shutdown`` op — or the fleet control plane sends ``drain`` during a
 live ``remove_worker`` (persist residents, reply with a final stats
-snapshot, exit) — on the data channel, closing its service — and thereby
-its runner pool and ``/dev/shm`` segments — before the router joins it.
+snapshot, exit) — on the data channel, closing its service before the
+router joins it.
 The control channel additionally answers ``warm`` (prefetch a list of
 gallery names) so ``add_worker`` can warm a joining worker's arc before the
 ring commit.
@@ -141,8 +141,7 @@ def _send_reply(
         send_message(sock, reply)
         return True
     if plan.should_fire("worker.crash") is not None:
-        # Die exactly like a SIGKILL'd worker: no reply, no service.close(),
-        # any /dev/shm segments left for the router's crash sweep.
+        # Die exactly like a SIGKILL'd worker: no reply, no service.close().
         os._exit(17)
     rule = plan.should_fire("worker.hang")
     if rule is not None:
@@ -334,9 +333,8 @@ def worker_main(
     Builds a fresh registry + service over the shared ``root`` (galleries
     load lazily, never eagerly — a respawned worker starts cold and warms on
     demand) and serves the two IPC channels until the router sends
-    ``shutdown`` (or the data channel reaches EOF).  The service is closed —
-    runner pool and shared-memory segments released — before the process
-    exits, so a clean drain leaves nothing behind in ``/dev/shm``.
+    ``shutdown`` (or the data channel reaches EOF).  The service is closed
+    before the process exits.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     config = ServiceConfig.from_dict(config_payload)
@@ -367,8 +365,8 @@ def worker_main(
                 # root already holds every acked enroll — this covers any
                 # other in-memory state), hand the router a final stats
                 # snapshot to fold into its carried accumulator, then exit
-                # the serve loop so close() releases pool + segments before
-                # the router joins the process.
+                # the serve loop so the service closes before the router
+                # joins the process.
                 try:
                     send_message(
                         data_sock,

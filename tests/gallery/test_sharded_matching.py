@@ -1,8 +1,13 @@
-"""Shard-vs-single-block equivalence tests for gallery matching.
+"""Column-split invariance of gallery matching.
 
-The acceptance criterion is *bit-for-bit* equality: every shard layout —
-including pathological one-column edge shards — must reproduce the
-single-block similarity matrix exactly, inline or through a runner pool.
+The acceptance criterion is *bit-for-bit* equality at the kernel level: with
+the default ``numpy64`` backend, the similarity of any block or subset of
+gallery columns (a "shard") must equal the matching rows of the full block,
+and any split of the probe columns must equal the matching columns — down
+to pathological one-column blocks.  The
+:class:`~repro.gallery.index.PruningIndex` re-rank (a fancy-indexed gallery
+column subset) and the service micro-batcher (stacked probe columns) rely on
+exactly this property.
 """
 
 import numpy as np
@@ -12,11 +17,11 @@ from repro.attack.matching import match_subjects
 from repro.exceptions import AttackError, ValidationError
 from repro.gallery.matching import (
     match_against_gallery,
+    match_normalized,
+    normalize_columns,
     shard_similarity,
-    shard_slices,
+    similarity_kernel,
 )
-from repro.runtime.cache import ArtifactCache
-from repro.runtime.runner import ExperimentRunner
 
 
 @pytest.fixture(scope="module")
@@ -30,21 +35,15 @@ def reduced_pair(rest_pair):
     )
 
 
-class TestShardSlices:
-    def test_none_is_single_block(self):
-        assert shard_slices(10, None) == [(0, 10)]
+@pytest.fixture(scope="module")
+def normalized_pair(reduced_pair):
+    """The reduced pair normalized once over the full matrices."""
+    reference, probe = reduced_pair
+    return normalize_columns(reference) + normalize_columns(probe)
 
-    def test_blocks_cover_in_order(self):
-        assert shard_slices(10, 4) == [(0, 4), (4, 8), (8, 10)]
 
-    def test_oversized_shard_is_single_block(self):
-        assert shard_slices(5, 100) == [(0, 5)]
-
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(ValidationError):
-            shard_slices(0, None)
-        with pytest.raises(ValidationError):
-            shard_slices(10, 0)
+def _blocks(n_columns, width):
+    return [(start, min(start + width, n_columns)) for start in range(0, n_columns, width)]
 
 
 class TestShardEquivalence:
@@ -58,16 +57,35 @@ class TestShardEquivalence:
         assert np.allclose(single.similarity, legacy.similarity)
 
     @pytest.mark.parametrize("shard_size", [1, 2, 3, 5, 7, 11, 12, 100])
-    def test_every_shard_layout_is_bitwise_identical(self, reduced_pair, shard_size):
-        reference, probe = reduced_pair
-        single = match_against_gallery(reference, probe)
-        sharded = match_against_gallery(reference, probe, shard_size=shard_size)
-        assert np.array_equal(sharded.similarity, single.similarity)
-        assert np.array_equal(
-            sharded.predicted_reference_index, single.predicted_reference_index
-        )
-        assert np.array_equal(sharded.margin(), single.margin())
-        assert sharded.predicted_subject_ids == single.predicted_subject_ids
+    def test_every_shard_layout_is_bitwise_identical(self, normalized_pair, shard_size):
+        ref_n, ref_d, prb_n, prb_d = normalized_pair
+        full = match_normalized(ref_n, prb_n, ref_d, prb_d)
+        gallery_blocks = [
+            similarity_kernel(ref_n[:, start:stop], prb_n, ref_d[start:stop], prb_d)
+            for start, stop in _blocks(ref_n.shape[1], shard_size)
+        ]
+        assert np.array_equal(np.vstack(gallery_blocks), full)
+        probe_blocks = [
+            similarity_kernel(ref_n, prb_n[:, start:stop], ref_d, prb_d[start:stop])
+            for start, stop in _blocks(prb_n.shape[1], shard_size)
+        ]
+        assert np.array_equal(np.hstack(probe_blocks), full)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_any_column_subset_is_bitwise_identical(self, normalized_pair, seed):
+        """Unsorted, fancy-indexed subsets: the index re-rank takes gallery
+        columns this way, and a stacked batch is any subset of probes."""
+        ref_n, ref_d, prb_n, prb_d = normalized_pair
+        full = match_normalized(ref_n, prb_n, ref_d, prb_d)
+        rng = np.random.default_rng(seed)
+        for size in (1, 2, ref_n.shape[1] // 3, ref_n.shape[1]):
+            subset = rng.choice(ref_n.shape[1], size=size, replace=False)
+            block = similarity_kernel(ref_n[:, subset], prb_n, ref_d[subset], prb_d)
+            assert np.array_equal(block, full[subset, :])
+        for size in (1, 2, prb_n.shape[1] // 2, prb_n.shape[1]):
+            subset = rng.choice(prb_n.shape[1], size=size, replace=False)
+            alone = match_normalized(ref_n, prb_n[:, subset], ref_d, prb_d[subset])
+            assert np.array_equal(alone, full[:, subset])
 
     def test_degenerate_columns_survive_sharding(self):
         rng = np.random.default_rng(0)
@@ -76,8 +94,13 @@ class TestShardEquivalence:
         reference[:, 2] = 1.5  # constant gallery subject
         probe[:, 1] = -3.0  # constant probe
         single = match_against_gallery(reference, probe)
-        sharded = match_against_gallery(reference, probe, shard_size=2)
-        assert np.array_equal(sharded.similarity, single.similarity)
+        ref_n, ref_d = normalize_columns(reference)
+        prb_n, prb_d = normalize_columns(probe)
+        blocks = [
+            similarity_kernel(ref_n[:, start:stop], prb_n, ref_d[start:stop], prb_d)
+            for start, stop in _blocks(reference.shape[1], 2)
+        ]
+        assert np.array_equal(np.vstack(blocks), single.similarity)
         assert np.all(single.similarity[2, :] == 0.0)
         assert np.all(single.similarity[:, 1] == 0.0)
 
@@ -88,38 +111,9 @@ class TestShardEquivalence:
         result = match_against_gallery(
             reference, probe,
             reference_subject_ids=ref_ids, target_subject_ids=tgt_ids,
-            shard_size=4,
         )
         assert result.reference_subject_ids == ref_ids
         assert result.target_subject_ids == tgt_ids
-
-
-class TestPooledSharding:
-    def test_thread_pool_matches_inline_bitwise(self, reduced_pair):
-        reference, probe = reduced_pair
-        inline = match_against_gallery(reference, probe, shard_size=5)
-        runner = ExperimentRunner(cache=ArtifactCache(), max_workers=3)
-        pooled = match_against_gallery(reference, probe, shard_size=5, runner=runner)
-        assert np.array_equal(pooled.similarity, inline.similarity)
-
-    def test_process_pool_matches_inline_bitwise(self, reduced_pair):
-        reference, probe = reduced_pair
-        inline = match_against_gallery(reference, probe, shard_size=24)
-        runner = ExperimentRunner(max_workers=2, executor="process")
-        pooled = match_against_gallery(reference, probe, shard_size=24, runner=runner)
-        assert np.array_equal(pooled.similarity, inline.similarity)
-
-    def test_single_shard_skips_the_pool(self, reduced_pair):
-        reference, probe = reduced_pair
-
-        class ExplodingRunner:
-            def run(self, specs):  # pragma: no cover - must not be called
-                raise AssertionError("runner must not be used for a single shard")
-
-        result = match_against_gallery(
-            reference, probe, shard_size=None, runner=ExplodingRunner()
-        )
-        assert result.similarity.shape == (reference.shape[1], probe.shape[1])
 
 
 class TestValidation:

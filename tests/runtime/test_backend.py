@@ -1,8 +1,8 @@
 """Tests for the pluggable matching backends and the precision policy.
 
 The load-bearing contract: the ``numpy64`` default must be *bit-for-bit*
-identical to the historical fixed-order einsum kernel across every shard
-size and pool mode; ``numpy32`` must agree on every top-1 identity of the
+identical to the historical fixed-order einsum kernel for every block of
+gallery columns; ``numpy32`` must agree on every top-1 identity of the
 64x100 acceptance workload; ``blas_blocked`` must agree to within a few
 ulps.  Backend/precision selection is pure policy and tested as such.
 """
@@ -26,7 +26,6 @@ from repro.runtime.backend import (
     resolve_backend,
 )
 from repro.runtime.cache import ArtifactCache
-from repro.runtime.runner import ExperimentRunner
 
 
 @pytest.fixture(scope="module")
@@ -143,34 +142,15 @@ class TestNumpy64BitIdentity:
     def test_bit_identical_across_shard_sizes(self, normalized_pair, shard_size):
         ref_n, ref_d, probe_n, probe_d = normalized_pair
         single = match_normalized(ref_n, probe_n, ref_d, probe_d)
-        sharded = match_normalized(
-            ref_n, probe_n, ref_d, probe_d, shard_size=shard_size, backend="numpy64"
-        )
-        assert np.array_equal(sharded, single)
-
-    def test_bit_identical_through_a_thread_pool(self, normalized_pair):
-        ref_n, ref_d, probe_n, probe_d = normalized_pair
-        inline = match_normalized(ref_n, probe_n, ref_d, probe_d, shard_size=5)
-        with ExperimentRunner(cache=ArtifactCache(), max_workers=3) as runner:
-            pooled = match_normalized(
-                ref_n, probe_n, ref_d, probe_d, shard_size=5, runner=runner
+        width = shard_size or ref_n.shape[1]
+        blocks = [
+            similarity_kernel(
+                ref_n[:, start:start + width], probe_n,
+                ref_d[start:start + width], probe_d, backend="numpy64",
             )
-        assert np.array_equal(pooled, inline)
-
-    def test_bit_identical_through_process_pools_both_transports(self, normalized_pair):
-        ref_n, ref_d, probe_n, probe_d = normalized_pair
-        inline = match_normalized(ref_n, probe_n, ref_d, probe_d, shard_size=7)
-        for shared_transport in (True, False):
-            with ExperimentRunner(
-                cache=ArtifactCache(), max_workers=2, executor="process",
-                shared_transport=shared_transport,
-            ) as runner:
-                pooled = match_normalized(
-                    ref_n, probe_n, ref_d, probe_d, shard_size=7, runner=runner
-                )
-            assert np.array_equal(pooled, inline), (
-                f"shared_transport={shared_transport} diverged from inline"
-            )
+            for start in range(0, ref_n.shape[1], width)
+        ]
+        assert np.array_equal(np.vstack(blocks), single)
 
 
 class TestAlternativeBackends:
@@ -195,91 +175,6 @@ class TestAlternativeBackends:
         assert blas.dtype == np.float64
         assert np.allclose(blas, base, atol=1e-12)
         assert np.array_equal(np.argmax(blas, axis=0), np.argmax(base, axis=0))
-
-    def test_unregistered_instance_works_on_thread_pools(self, normalized_pair):
-        ref_n, ref_d, probe_n, probe_d = normalized_pair
-
-        class Halver(MatchingBackend):
-            name = "halver-unregistered"
-            precision = "float64"
-
-            def similarity(self, ref, probe, ref_deg=None, probe_deg=None):
-                return 0.5 * get_backend("numpy64").similarity(
-                    ref, probe, ref_deg, probe_deg
-                )
-
-        backend = Halver()
-        inline = match_normalized(ref_n, probe_n, ref_d, probe_d, backend=backend)
-        with ExperimentRunner(cache=ArtifactCache(), max_workers=2) as runner:
-            pooled = match_normalized(
-                ref_n, probe_n, ref_d, probe_d,
-                shard_size=5, runner=runner, backend=backend,
-            )
-        assert np.array_equal(pooled, inline)
-
-    def test_unregistered_instance_rejected_on_process_pools(self, normalized_pair):
-        ref_n, ref_d, probe_n, probe_d = normalized_pair
-
-        class Ghost(MatchingBackend):
-            name = "ghost-unregistered"
-            precision = "float64"
-
-            def similarity(self, ref, probe, ref_deg=None, probe_deg=None):
-                return get_backend("numpy64").similarity(ref, probe, ref_deg, probe_deg)
-
-        with ExperimentRunner(
-            cache=ArtifactCache(), max_workers=2, executor="process"
-        ) as runner:
-            with pytest.raises(ConfigurationError, match="not registered"):
-                match_normalized(
-                    ref_n, probe_n, ref_d, probe_d,
-                    shard_size=5, runner=runner, backend=Ghost(),
-                )
-
-    def test_registration_after_pool_fork_recycles_the_workers(self, normalized_pair):
-        ref_n, ref_d, probe_n, probe_d = normalized_pair
-
-        class Doubler(MatchingBackend):
-            name = "test-doubler"
-            precision = "float64"
-
-            def similarity(self, ref, probe, ref_deg=None, probe_deg=None):
-                return 2.0 * get_backend("numpy64").similarity(
-                    ref, probe, ref_deg, probe_deg
-                )
-
-        with ExperimentRunner(
-            cache=ArtifactCache(), max_workers=2, executor="process"
-        ) as runner:
-            # First run forks the pool with only the built-in backends.
-            match_normalized(ref_n, probe_n, ref_d, probe_d, shard_size=7, runner=runner)
-            register_backend(Doubler())
-            try:
-                # The stale pool must be recycled so workers see the new name.
-                pooled = match_normalized(
-                    ref_n, probe_n, ref_d, probe_d,
-                    shard_size=7, runner=runner, backend="test-doubler",
-                )
-            finally:
-                from repro.runtime import backend as backend_module
-
-                backend_module._BACKENDS.pop("test-doubler", None)
-        inline = 2.0 * match_normalized(ref_n, probe_n, ref_d, probe_d, shard_size=7)
-        assert np.array_equal(pooled, inline)
-
-    def test_backend_name_travels_through_pooled_specs(self, normalized_pair):
-        ref_n, ref_d, probe_n, probe_d = normalized_pair
-        with ExperimentRunner(cache=ArtifactCache(), max_workers=2) as runner:
-            pooled = match_normalized(
-                ref_n, probe_n, ref_d, probe_d,
-                shard_size=5, runner=runner, backend="numpy32",
-            )
-        inline = match_normalized(
-            ref_n, probe_n, ref_d, probe_d, shard_size=5, backend="numpy32"
-        )
-        assert pooled.dtype == np.float32
-        assert np.array_equal(pooled, inline)
-
 
 class TestAcceptanceWorkloadAgreement:
     """float32 top-1 agreement on the 64-subject x 100-region workload."""
@@ -361,11 +256,10 @@ class TestGalleryAndServicePlumbing:
     def test_service_config_round_trips_backend_fields(self):
         from repro.service import ServiceConfig
 
-        config = ServiceConfig(backend="auto", precision="float32", shared_transport=False)
+        config = ServiceConfig(backend="auto", precision="float32")
         restored = ServiceConfig.from_json(config.to_json())
         assert restored.backend == "auto"
         assert restored.precision == "float32"
-        assert restored.shared_transport is False
         assert restored.resolved_backend() == "numpy32"
 
     def test_attack_pipeline_adopts_the_config_backend(self):

@@ -449,11 +449,6 @@ class TestLifecycle:
         for thread in threads:
             thread.join()
 
-    def test_registry_close_is_idempotent(self, registry):
-        registry.close()
-        registry.close()
-        assert registry.get("hcp") is not None
-
     def test_close_with_requests_in_flight_is_safe(self, http_service, server, sessions):
         """The SIGINT path calls close() while HTTP batches may be draining."""
         _, probe_scans = sessions

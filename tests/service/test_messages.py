@@ -114,22 +114,22 @@ class TestServiceConfig:
     def test_json_round_trip(self):
         config = ServiceConfig(
             n_features=80, rank=5, method="randomized", random_state=7,
-            shard_size=16, max_workers=2, max_batch_size=32, batch_window_s=0.01,
+            max_batch_size=32, batch_window_s=0.01,
         )
         assert ServiceConfig.from_json(config.to_json()) == config
 
     def test_replace_revalidates(self):
         config = ServiceConfig()
-        assert config.replace(shard_size=4).shard_size == 4
+        assert config.replace(max_batch_size=4).max_batch_size == 4
         with pytest.raises(ConfigurationError):
-            config.replace(max_workers=0)
+            config.replace(max_batch_size=0)
 
     @pytest.mark.parametrize(
         "overrides",
         [
             {"n_features": 0},
             {"method": "magic"},
-            {"executor": "fiber"},
+            {"codec": "morse"},
             {"max_batch_size": 0},
             {"batch_window_s": -1.0},
             {"random_state": object()},
@@ -142,15 +142,23 @@ class TestServiceConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
             ServiceConfig.from_dict({"n_features": 10, "warp_factor": 9})
+        # Knobs of the removed pooled-matching path: a saved config that
+        # still sets one fails loudly, naming the field.
+        for removed, value in (
+            ("max_workers", 2),
+            ("executor", "process"),
+            ("shared_transport", True),
+            ("shard_size", 16),
+        ):
+            with pytest.raises(ConfigurationError, match=f"unknown.*{removed}"):
+                ServiceConfig.from_dict({"n_features": 10, removed: value})
 
     def test_gallery_kwargs_cover_fit_shard_and_backend_knobs(self):
-        kwargs = ServiceConfig(n_features=40, shard_size=8).gallery_kwargs()
+        kwargs = ServiceConfig(n_features=40).gallery_kwargs()
         assert kwargs["n_features"] == 40
-        assert kwargs["shard_size"] == 8
         assert kwargs["backend"] == "numpy64"
         assert set(kwargs) == {
-            "n_features", "rank", "fisher", "method", "random_state", "shard_size",
-            "backend",
+            "n_features", "rank", "fisher", "method", "random_state", "backend",
         }
 
     def test_default_config_shares_the_process_cache(self):
@@ -160,8 +168,3 @@ class TestServiceConfig:
         dedicated = ServiceConfig(max_memory_items=8).build_cache()
         assert dedicated is not get_default_cache()
         assert dedicated.max_memory_items == 8
-
-    def test_build_runner_only_for_pools(self):
-        assert ServiceConfig().build_runner() is None
-        runner = ServiceConfig(max_workers=3).build_runner()
-        assert runner is not None and runner.max_workers == 3

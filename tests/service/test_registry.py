@@ -32,11 +32,11 @@ class TestMembership:
 class TestConfigPlumbing:
     def test_build_uses_the_registry_config(self, sessions):
         registry = GalleryRegistry(
-            config=ServiceConfig(n_features=40, shard_size=5), cache=ArtifactCache()
+            config=ServiceConfig(n_features=40, backend="auto"), cache=ArtifactCache()
         )
         gallery = registry.build("g", sessions[0])
         assert gallery.n_features == 40
-        assert gallery.shard_size == 5
+        assert gallery.backend == "blas_blocked"
         assert gallery.cache is registry.cache
 
     def test_build_overrides_win(self, sessions):
@@ -45,14 +45,6 @@ class TestConfigPlumbing:
         )
         gallery = registry.build("g", sessions[0], n_features=30)
         assert gallery.n_features == 30
-
-    def test_registry_attaches_its_runner_to_registered_galleries(self, sessions):
-        from repro.runtime.runner import ExperimentRunner
-
-        runner = ExperimentRunner(max_workers=2)
-        registry = GalleryRegistry(cache=ArtifactCache(), runner=runner)
-        gallery = registry.build("g", sessions[0][:4], n_features=20)
-        assert gallery.runner is runner
 
 
 class TestPersistence:
@@ -105,8 +97,10 @@ class TestPersistence:
         gallery = ReferenceGallery.from_scans(
             sessions[0][:4], n_features=20, cache=registry.cache
         )
+        assert gallery.backend is None
         registry.register("adopted", gallery)
         assert registry.get("adopted") is gallery
+        assert gallery.backend == registry.backend
 
 
 class FakeClock:

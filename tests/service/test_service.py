@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from repro.attack.pipeline import AttackPipeline
-from repro.gallery.reference import ReferenceGallery
 from repro.runtime.cache import ArtifactCache
-from repro.runtime.runner import ExperimentRunner
 from repro.service import (
     EnrollRequest,
     GalleryRegistry,
@@ -52,23 +50,6 @@ class TestBatchVsSerialEquivalence:
         for expected, response in zip(serial, responses):
             assert np.array_equal(expected.similarity, response.match_result.similarity)
             assert expected.accuracy() == response.accuracy
-
-    def test_batched_matches_serial_on_a_sharded_pooled_gallery(self, sessions):
-        reference_scans, probes = sessions
-        cache = ArtifactCache()
-        registry = GalleryRegistry(
-            config=ServiceConfig(n_features=60, shard_size=5), cache=cache,
-            runner=ExperimentRunner(max_workers=2),
-        )
-        registry.build("sharded", reference_scans)
-        service = IdentificationService(registry=registry)
-        gallery = registry.get("sharded")
-        serial = [gallery.identify([scan]) for scan in probes]
-        responses = service.identify_many(
-            _single_probe_requests(probes, gallery="sharded")
-        )
-        for expected, response in zip(serial, responses):
-            assert np.array_equal(expected.similarity, response.match_result.similarity)
 
     def test_prebuilt_probe_matrix_matches_scan_payload(self, service, registry, sessions):
         from repro.runtime.batch import build_group_matrix_batched
@@ -395,20 +376,19 @@ class TestErrorResponses:
 class TestConfigPlumbingAndDeprecations:
     def test_service_config_reaches_the_gallery(self, sessions):
         reference_scans, _ = sessions
-        config = ServiceConfig(n_features=30, shard_size=4)
+        config = ServiceConfig(n_features=30, backend="auto")
         service = IdentificationService(config=config)
         service.enroll(
             EnrollRequest(gallery="cfg", scans=reference_scans, create=True)
         )
         gallery = service.registry.get("cfg")
         assert gallery.n_features == 30
-        assert gallery.shard_size == 4
+        assert gallery.backend == "blas_blocked"
 
     def test_attack_pipeline_accepts_a_service_config(self, rest_pair):
-        config = ServiceConfig(n_features=40, shard_size=3)
+        config = ServiceConfig(n_features=40)
         pipeline = AttackPipeline(config=config)
         assert pipeline.n_features == 40
-        assert pipeline.shard_size == 3
         report = pipeline.run_on_groups(rest_pair["reference"], rest_pair["target"])
         legacy = AttackPipeline(n_features=40).run_on_groups(
             rest_pair["reference"], rest_pair["target"]
@@ -417,21 +397,8 @@ class TestConfigPlumbingAndDeprecations:
             report.match_result.similarity, legacy.match_result.similarity
         )
 
-    def test_direct_shard_size_kwarg_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="ServiceConfig"):
-            AttackPipeline(n_features=40, shard_size=3)
-
     def test_config_construction_does_not_warn(self, recwarn):
-        AttackPipeline(config=ServiceConfig(n_features=40, shard_size=3))
+        AttackPipeline(config=ServiceConfig(n_features=40))
         assert not [
             warning for warning in recwarn if warning.category is DeprecationWarning
         ]
-
-    def test_gallery_runner_kwarg_is_deprecated(self, rest_pair):
-        with pytest.warns(DeprecationWarning, match="serving layer"):
-            ReferenceGallery(
-                rest_pair["reference"],
-                n_features=20,
-                cache=ArtifactCache(),
-                runner=ExperimentRunner(),
-            )

@@ -1,7 +1,9 @@
 """The benchmark check script stays wired to the modules CI smoke-runs.
 
 Mirrors the CI benchmark-smoke steps (``scripts/check_benchmarks.py``) at
-test scale: every benchmark module must import, the ``--index-trajectory``
+test scale: every benchmark module must import, the ``--backend-trajectory``
+flag must write a precision-only ``BENCH_backend.json`` record and
+hard-gate on float32 top-1 agreement, the ``--index-trajectory``
 flag must run the pruning benchmark, write a well-formed ``BENCH_index.json``
 record, and hard-gate on top-1 agreement, and the ``--router-trajectory``
 flag must run the router scaling benchmark, write ``BENCH_router.json``,
@@ -39,6 +41,46 @@ def test_required_benchmarks_exist(check_benchmarks):
     assert "bench_index_pruning" in check_benchmarks.REQUIRED_BENCHMARKS
     assert "bench_router_scaling" in check_benchmarks.REQUIRED_BENCHMARKS
     assert "bench_fleet_churn" in check_benchmarks.REQUIRED_BENCHMARKS
+
+
+def test_backend_trajectory_flag_writes_precision_record(
+    check_benchmarks, tmp_path, capsys, monkeypatch
+):
+    """``--backend-trajectory`` runs the precision benchmark at acceptance
+    scale and writes a record with no transport fields."""
+    monkeypatch.setattr(check_benchmarks, "run_import_checks", lambda: 0)
+    path = tmp_path / "BENCH_backend.json"
+    exit_code = check_benchmarks.main(["--backend-trajectory", str(path)])
+    output = capsys.readouterr().out
+    assert exit_code == 0, output
+    assert "backend trajectory: backend=numpy64" in output
+    record = json.loads(path.read_text())
+    assert set(record) == {"benchmark", "backend", "precision"}
+    assert record["benchmark"] == "bench_backend_matching"
+    precision = record["precision"]
+    assert precision["float32_top1_agreement"] == 1.0
+    assert precision["float64_s"] > 0 and precision["float32_s"] > 0
+    assert not any("transport" in key or "shard" in key for key in precision)
+
+
+def test_backend_trajectory_gates_on_top1_agreement(
+    check_benchmarks, tmp_path, capsys, monkeypatch
+):
+    """A float32 run that changes a top-1 identity must fail the check."""
+    def broken(path):
+        record = {
+            "benchmark": "bench_backend_matching",
+            "backend": "numpy64",
+            "precision": {"float32_speedup": 2.0, "float32_top1_agreement": 0.5},
+        }
+        path.write_text(json.dumps(record))
+        return record
+
+    monkeypatch.setattr(check_benchmarks, "run_import_checks", lambda: 0)
+    monkeypatch.setattr(check_benchmarks, "write_backend_trajectory", broken)
+    exit_code = check_benchmarks.main(["--backend-trajectory", str(tmp_path / "b.json")])
+    assert exit_code == 1
+    assert "FAIL backend trajectory" in capsys.readouterr().out
 
 
 def test_index_trajectory_flag_writes_record(check_benchmarks, tmp_path, capsys, monkeypatch):

@@ -201,20 +201,6 @@ class TestServeCommand:
         assert "no saved gallery" in capsys.readouterr().err
         assert _shm_segments() == []
 
-    def test_serve_with_process_pool_leaves_no_shm_segments(self, tmp_path, capsys):
-        """Sharded process-pool serving publishes /dev/shm segments; every
-        exit path of ``serve`` must release them."""
-        gallery_dir = self._build(tmp_path, capsys, **{"--shard-size": "4"})
-        assert main(
-            [
-                "serve", "--dir", str(gallery_dir),
-                "--requests", "2", "--rounds", "1",
-                "--workers", "2", "--executor", "process",
-            ]
-        ) == 0
-        assert "served 2 concurrent requests" in capsys.readouterr().out
-        assert _shm_segments() == []
-
     def test_gallery_identify_missing_recipe_exits_1(self, tmp_path, capsys):
         gallery_dir = self._build(tmp_path, capsys)
         self._drop_recipe(gallery_dir)
@@ -598,3 +584,17 @@ class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--dir", "gal", "--workers", "2"],
+            ["serve", "--dir", "gal", "--executor", "process"],
+            ["gallery", "build", "--dir", "gal", "--shard-size", "4"],
+        ],
+    )
+    def test_removed_matching_pool_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
