@@ -12,6 +12,8 @@ policy.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ class TestExactness:
         assert evaluated.any()
         assert np.array_equal(pruned[evaluated], full[evaluated])
 
-    @pytest.mark.parametrize("shard_size", [None, 7])
+    @pytest.mark.parametrize("shard_size", [None, 1, 7, 64])
     def test_rank_agreement_across_shard_sizes(self, shard_size):
         """The full scan may be one block or assembled from column blocks."""
         ref_n, ref_d, prb_n, prb_d = structured_matrices()
@@ -79,6 +81,19 @@ class TestExactness:
                 )
                 for start in range(0, ref_n.shape[1], shard_size)
             ])
+        index = PruningIndex.fit(ref_n, rank=8, top_c=16)
+        pruned = index.match(ref_n, prb_n, ref_d, prb_d)
+        assert np.array_equal(np.argmax(pruned, axis=0), np.argmax(full, axis=0))
+        assert np.array_equal(margins(pruned), margins(full))
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_rank_agreement_against_pooled_full_scan(self, executor):
+        """The full scan a routed-fleet worker or server thread computes
+        elsewhere agrees with the index fitted in this process."""
+        ref_n, ref_d, prb_n, prb_d = structured_matrices(n_columns=120)
+        pool_class = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
+        with pool_class(max_workers=2) as pool:
+            full = pool.submit(match_normalized, ref_n, prb_n, ref_d, prb_d).result()
         index = PruningIndex.fit(ref_n, rank=8, top_c=16)
         pruned = index.match(ref_n, prb_n, ref_d, prb_d)
         assert np.array_equal(np.argmax(pruned, axis=0), np.argmax(full, axis=0))

@@ -21,6 +21,15 @@ def sessions(small_hcp):
     )
 
 
+def _write_legacy_archive(gallery, directory, shard_size):
+    """Save ``gallery`` as an earlier release did, with a ``shard_size`` key."""
+    gallery.save(directory)
+    meta_path = directory / "gallery.json"
+    meta = json.loads(meta_path.read_text())
+    meta["shard_size"] = shard_size
+    meta_path.write_text(json.dumps(meta))
+
+
 class TestFitAndIdentify:
     def test_identify_matches_the_attack_path(self, rest_pair):
         gallery = ReferenceGallery(
@@ -55,6 +64,23 @@ class TestFitAndIdentify:
         first = gallery.identify(probe_scans)
         second = gallery.identify(probe_scans)
         assert np.array_equal(first.similarity, second.similarity)
+
+    def test_sharded_gallery_is_bitwise_identical(self, sessions, tmp_path):
+        """Archives written while matching could be split into column shards
+        carry a ``shard_size`` key in gallery.json.  The integrity digest
+        never covered it, so such an archive loads and serves the bits of a
+        fresh single-call fit."""
+        reference_scans, probe_scans = sessions
+        single = ReferenceGallery.from_scans(
+            reference_scans, n_features=60, cache=ArtifactCache()
+        )
+        _write_legacy_archive(single, tmp_path / "gal", shard_size=3)
+        sharded = ReferenceGallery.load(tmp_path / "gal", cache=ArtifactCache())
+        expected = single.identify(probe_scans)
+        served = sharded.identify(probe_scans)
+        assert np.array_equal(expected.similarity, served.similarity)
+        assert expected.predicted_subject_ids == served.predicted_subject_ids
+        assert sharded.fingerprint == single.fingerprint
 
     def test_generator_seeded_randomized_galleries_do_not_collide(self, rest_pair):
         # Two different generator draws must not share cached fit artifacts:
@@ -158,19 +184,27 @@ class TestPersistence:
         assert loaded.refit_count_ == 0  # loading never refits
         assert loaded.fingerprint == gallery.fingerprint
 
-        # Archives written before matching became one in-process call carry
-        # a matching block size in gallery.json.  The integrity digest never
-        # covered it, so such an archive loads and serves the same bits.
-        for legacy_block_size in (None, 4):
-            meta_path = tmp_path / "gal" / "gallery.json"
-            meta = json.loads(meta_path.read_text())
-            meta["shard_size"] = legacy_block_size
-            meta_path.write_text(json.dumps(meta))
-            legacy = ReferenceGallery.load(tmp_path / "gal", cache=ArtifactCache())
-            served = legacy.identify(probe_scans)
-            assert np.array_equal(before.similarity, served.similarity)
-            assert before.predicted_subject_ids == served.predicted_subject_ids
-            assert legacy.fingerprint == gallery.fingerprint
+
+    @pytest.mark.parametrize("shard_size", [None, 1, 4, 1000])
+    def test_legacy_shard_size_key_is_dropped_on_resave(
+        self, sessions, tmp_path, shard_size
+    ):
+        reference_scans, probe_scans = sessions
+        gallery = ReferenceGallery.from_scans(
+            reference_scans, n_features=60, cache=ArtifactCache()
+        )
+        _write_legacy_archive(gallery, tmp_path / "old", shard_size=shard_size)
+        legacy = ReferenceGallery.load(tmp_path / "old", cache=ArtifactCache())
+        assert "shard_size" not in legacy.info()
+        legacy.save(tmp_path / "new")
+        meta = json.loads((tmp_path / "new" / "gallery.json").read_text())
+        assert "shard_size" not in meta
+        resaved = ReferenceGallery.load(tmp_path / "new", cache=ArtifactCache())
+        assert resaved.fingerprint == gallery.fingerprint
+        assert np.array_equal(
+            resaved.identify(probe_scans).similarity,
+            gallery.identify(probe_scans).similarity,
+        )
 
     def test_loaded_gallery_primes_the_cache(self, sessions, tmp_path):
         reference_scans, _ = sessions

@@ -10,6 +10,8 @@ column subset) and the service micro-batcher (stacked probe columns) rely on
 exactly this property.
 """
 
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,64 @@ class TestShardEquivalence:
         assert result.target_subject_ids == tgt_ids
 
 
+def _pooled_blocks(pool, ref_n, ref_d, prb_n, prb_d, width):
+    """Gallery column blocks computed by ``pool`` workers, stacked in order."""
+    futures = [
+        pool.submit(
+            similarity_kernel, ref_n[:, start:stop], prb_n, ref_d[start:stop], prb_d
+        )
+        for start, stop in _blocks(ref_n.shape[1], width)
+    ]
+    return np.vstack([future.result() for future in futures])
+
+
+class TestPooledSharding:
+    """Blocks computed in other threads or forked processes keep the bits.
+
+    HTTP handler threads share the kernel, and routed-fleet workers compute
+    matches in separate processes that the router's bit-identity gate
+    compares against in-process results.
+    """
+
+    def test_thread_pool_matches_inline_bitwise(self, normalized_pair):
+        ref_n, ref_d, prb_n, prb_d = normalized_pair
+        inline = match_normalized(ref_n, prb_n, ref_d, prb_d)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pooled = _pooled_blocks(pool, ref_n, ref_d, prb_n, prb_d, width=5)
+        assert np.array_equal(pooled, inline)
+
+    def test_process_pool_matches_inline_bitwise(self, normalized_pair):
+        ref_n, ref_d, prb_n, prb_d = normalized_pair
+        inline = match_normalized(ref_n, prb_n, ref_d, prb_d)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pooled = _pooled_blocks(pool, ref_n, ref_d, prb_n, prb_d, width=24)
+        assert np.array_equal(pooled, inline)
+
+
+class TestOtherBackends:
+    """``numpy32`` and ``blas_blocked`` make no bitwise promise across column
+    blocks, only agreement to their precision's tolerance."""
+
+    @pytest.mark.parametrize(
+        "backend, rtol", [("numpy32", 1e-5), ("blas_blocked", 1e-12)]
+    )
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_column_blocks_agree_within_precision(
+        self, normalized_pair, backend, rtol, width
+    ):
+        ref_n, ref_d, prb_n, prb_d = normalized_pair
+        full = match_normalized(ref_n, prb_n, ref_d, prb_d, backend=backend)
+        blocks = [
+            similarity_kernel(
+                ref_n[:, start:stop], prb_n, ref_d[start:stop], prb_d, backend=backend
+            )
+            for start, stop in _blocks(ref_n.shape[1], width)
+        ]
+        stacked = np.vstack(blocks)
+        assert stacked.dtype == full.dtype
+        assert np.allclose(stacked, full, rtol=rtol, atol=rtol)
+
+
 class TestValidation:
     def test_feature_space_mismatch_rejected(self, reduced_pair):
         reference, probe = reduced_pair
@@ -134,3 +194,15 @@ class TestValidation:
     def test_shard_similarity_validates_feature_space(self):
         with pytest.raises(AttackError, match="feature space"):
             shard_similarity(np.ones((4, 2)), np.ones((5, 2)))
+
+    @pytest.mark.parametrize("function", [match_against_gallery, match_normalized])
+    @pytest.mark.parametrize("keyword", ["shard_size", "runner"])
+    def test_removed_pool_keywords_rejected(self, normalized_pair, function, keyword):
+        """Matching is one in-process call: the pooled-shard knobs are gone
+        rather than silently ignored."""
+        ref_n, ref_d, prb_n, prb_d = normalized_pair
+        args = (ref_n, prb_n) if function is match_against_gallery else (
+            ref_n, prb_n, ref_d, prb_d
+        )
+        with pytest.raises(TypeError, match=keyword):
+            function(*args, **{keyword: None})

@@ -7,6 +7,8 @@ gallery columns; ``numpy32`` must agree on every top-1 identity of the
 ulps.  Backend/precision selection is pure policy and tested as such.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,23 @@ class TestNumpy64BitIdentity:
         ]
         assert np.array_equal(np.vstack(blocks), single)
 
+    def test_bit_identical_through_a_thread_pool(self, normalized_pair):
+        """HTTP handler threads and the micro-batcher call the kernel
+        concurrently; concurrent blocks must equal the serial slices."""
+        ref_n, ref_d, probe_n, probe_d = normalized_pair
+        single = match_normalized(ref_n, probe_n, ref_d, probe_d)
+        starts = range(0, ref_n.shape[1], 5)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            blocks = list(pool.map(
+                lambda start: match_normalized(
+                    ref_n[:, start:start + 5], probe_n,
+                    ref_d[start:start + 5], probe_d,
+                ),
+                starts,
+            ))
+        for start, block in zip(starts, blocks):
+            assert np.array_equal(block, single[start:start + 5, :])
+
 
 class TestAlternativeBackends:
     def test_numpy32_runs_in_float32_and_agrees_on_argmax(self, normalized_pair):
@@ -175,6 +194,34 @@ class TestAlternativeBackends:
         assert blas.dtype == np.float64
         assert np.allclose(blas, base, atol=1e-12)
         assert np.array_equal(np.argmax(blas, axis=0), np.argmax(base, axis=0))
+
+    def test_unregistered_instance_works_on_thread_pools(self, normalized_pair):
+        """Matching runs in process, so a backend instance needs no registry
+        name to be used directly, from any thread."""
+        ref_n, ref_d, probe_n, probe_d = normalized_pair
+
+        class Halver(MatchingBackend):
+            name = "halver-unregistered"
+            precision = "float64"
+
+            def similarity(self, ref, probe, ref_deg=None, probe_deg=None):
+                return 0.5 * get_backend("numpy64").similarity(
+                    ref, probe, ref_deg, probe_deg
+                )
+
+        backend = Halver()
+        assert backend.name not in available_backends()
+        expected = 0.5 * match_normalized(ref_n, probe_n, ref_d, probe_d)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(
+                lambda _: match_normalized(
+                    ref_n, probe_n, ref_d, probe_d, backend=backend
+                ),
+                range(4),
+            ))
+        for result in results:
+            assert np.array_equal(result, expected)
+
 
 class TestAcceptanceWorkloadAgreement:
     """float32 top-1 agreement on the 64-subject x 100-region workload."""

@@ -40,6 +40,11 @@ class TestSpecSeeding:
         with pytest.raises(ConfigurationError, match="unknown spec kind"):
             ExperimentSpec(name="x", kind="nope")
 
+    def test_removed_match_shard_kind_is_unknown(self):
+        # Gallery matching runs in process; no spec kind ships shards.
+        with pytest.raises(ConfigurationError, match="unknown spec kind"):
+            ExperimentSpec(name="shard", kind="match_shard")
+
     def test_empty_name_rejected(self):
         with pytest.raises(ValidationError, match="name"):
             ExperimentSpec(name="", kind="attack")
@@ -192,6 +197,19 @@ class TestSharedDiskCache:
             max_workers=2, executor="process", cache_dir=tmp_path / "mine"
         )
         assert runner.cache_dir == tmp_path / "mine"
+
+    def test_shared_transport_argument_removed(self):
+        with pytest.raises(TypeError, match="shared_transport"):
+            ExperimentRunner(max_workers=2, executor="process", shared_transport=True)
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_worker_config_reports_pool_and_disk_tier_only(self, executor):
+        config = ExperimentRunner(max_workers=2, executor=executor).worker_config()
+        assert set(config) == {
+            "max_workers", "executor", "base_seed", "cpu_count", "cache_dir",
+            "shared_disk_cache",
+        }
+        assert config["executor"] == executor
 
     def test_contradictory_cache_config_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="contradict"):

@@ -1,32 +1,26 @@
-"""Tests for the zero-copy shard transport and its lifecycle.
+"""Tests for the ``/dev/shm`` leak-check prefix.
 
-The non-negotiable property: shared-memory segments are owned by the
-runner, content-keyed (repeated identifies reuse them), and fully released
-by ``shutdown()`` — no leaked ``/dev/shm`` entries.
+Nothing in the stack publishes POSIX shared-memory segments any more:
+matching runs in process, and runner pools ship specs by pickle.  The
+serving tests and benchmarks glob ``/dev/shm`` for
+:data:`~repro.runtime.shm.SEGMENT_PREFIX` after shutdown; these tests keep
+that prefix stable and pin that a full runner and gallery cycle leaves no
+segment under it.
 """
 
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.gallery.matching import match_normalized, normalize_columns
+from repro.gallery.reference import ReferenceGallery
 from repro.runtime.cache import ArtifactCache
-from repro.runtime.runner import ExperimentRunner
-from repro.runtime.shm import (
-    SEGMENT_PREFIX,
-    SharedArrayStore,
-    attach_shared_array,
-    is_shared_array_param,
-    shared_memory_available,
-)
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="no multiprocessing.shared_memory"
-)
+from repro.runtime.runner import ExperimentRunner, ExperimentSpec
+from repro.runtime.shm import SEGMENT_PREFIX
 
 _DEV_SHM = Path("/dev/shm")
+
+#: Small-but-valid attack parameters for the process-pool runs.
+TINY_ATTACK = {"n_subjects": 6, "n_regions": 24, "n_timepoints": 64, "n_features": 50}
 
 
 def _visible_segments():
@@ -36,228 +30,47 @@ def _visible_segments():
     return sorted(path.name for path in _DEV_SHM.glob(f"{SEGMENT_PREFIX}-*"))
 
 
-@pytest.fixture()
-def normalized_pair():
-    rng = np.random.default_rng(21)
-    reference = rng.standard_normal((60, 18))
-    probe = rng.standard_normal((60, 6))
-    ref_n, ref_d = normalize_columns(reference)
-    probe_n, probe_d = normalize_columns(probe)
-    return ref_n, ref_d, probe_n, probe_d
+def _specs(prefix):
+    return [
+        ExperimentSpec(name=f"{prefix}-{seed}", kind="attack", seed=seed, params=TINY_ATTACK)
+        for seed in (1, 2)
+    ]
 
 
-class TestSharedArrayStore:
-    def test_publish_attach_round_trip(self):
-        store = SharedArrayStore()
-        try:
-            array = np.arange(24, dtype=np.float64).reshape(4, 6)
-            descriptor = store.publish(array)
-            assert is_shared_array_param(descriptor)
-            attached = attach_shared_array(descriptor)
-            try:
-                assert np.array_equal(attached.array, array)
-                assert not attached.array.flags.writeable
-            finally:
-                attached.close()
-        finally:
-            store.release()
-
-    def test_publish_is_content_keyed(self):
-        store = SharedArrayStore()
-        try:
-            array = np.arange(12, dtype=np.float64)
-            first = store.publish(array)
-            again = store.publish(array)
-            same_bytes = store.publish(np.arange(12, dtype=np.float64))
-            other = store.publish(np.ones(12))
-            assert first["name"] == again["name"] == same_bytes["name"]
-            assert other["name"] != first["name"]
-            assert store.n_segments == 2
-        finally:
-            store.release()
-
-    def test_release_unlinks_every_segment(self):
-        store = SharedArrayStore()
-        store.publish(np.arange(100, dtype=np.float64))
-        store.publish(np.ones(50))
-        names = store.segment_names()
-        assert len(names) == 2
-        if _DEV_SHM.exists():
-            assert set(names) <= set(_visible_segments())
-        store.release()
-        assert store.n_segments == 0
-        assert not (set(names) & set(_visible_segments()))
-        store.release()  # idempotent
-
-    def test_segments_are_lru_bounded(self):
-        store = SharedArrayStore(max_segments=3)
-        try:
-            first = store.publish(np.full(8, 1.0))
-            store.publish(np.full(8, 2.0))
-            store.publish(np.full(8, 3.0))
-            store.publish(np.full(8, 1.0))  # touch: first is now most recent
-            store.publish(np.full(8, 4.0))  # evicts content 2.0, not 1.0
-            assert store.n_segments == 3
-            assert store.evictions == 1
-            assert first["name"] in store.segment_names()
-            # The evicted segment is gone from /dev/shm too, not just the table.
-            if _DEV_SHM.exists():
-                assert set(store.segment_names()) == set(_visible_segments())
-            # Republishing evicted content mints a fresh segment.
-            replacement = store.publish(np.full(8, 2.0))
-            assert replacement["name"] in store.segment_names()
-        finally:
-            store.release()
-
-    def test_pinned_segments_survive_lru_pressure(self):
-        store = SharedArrayStore(max_segments=2)
-        try:
-            first = store.publish(np.full(8, 1.0))
-            second = store.publish(np.full(8, 2.0))
-            with store.pinned([first["name"], second["name"]]):
-                # Publishing past the bound may not touch pinned segments.
-                store.publish(np.full(8, 3.0))
-                store.publish(np.full(8, 4.0))
-                names = store.segment_names()
-                assert first["name"] in names
-                assert second["name"] in names
-            # Unpinned now: the next publish may evict them again.
-            store.publish(np.full(8, 5.0))
-            assert store.n_segments <= 2
-            assert first["name"] not in store.segment_names()
-        finally:
-            store.release()
-
-    def test_leased_publishes_are_pinned_from_birth(self):
-        store = SharedArrayStore(max_segments=2)
-        try:
-            with store.leased([np.full(8, 1.0), np.full(8, 2.0)]) as descriptors:
-                assert len(descriptors) == 2
-                # Concurrent distinct-content publishes cannot evict them.
-                store.publish(np.full(8, 3.0))
-                store.publish(np.full(8, 4.0))
-                live = store.segment_names()
-                for descriptor in descriptors:
-                    assert descriptor["name"] in live
-            # Lease released: the segments are evictable again.
-            store.publish(np.full(8, 5.0))
-            assert store.n_segments <= 2
-        finally:
-            store.release()
-
-    def test_too_small_segment_bound_rejected(self):
-        from repro.exceptions import ValidationError
-
-        with pytest.raises(ValidationError, match="max_segments"):
-            SharedArrayStore(max_segments=1)
-
-    def test_finalizer_releases_on_garbage_collection(self):
-        store = SharedArrayStore()
-        store.publish(np.arange(10, dtype=np.float64))
-        names = store.segment_names()
-        del store
-        import gc
-
-        gc.collect()
-        assert not (set(names) & set(_visible_segments()))
+class TestSegmentPrefix:
+    def test_prefix_is_stable(self):
+        # perfbench and the chaos/fleet-churn benchmarks glob this exact name.
+        assert SEGMENT_PREFIX == "repro-shm"
 
 
 class TestRunnerTransportLifecycle:
-    def test_support_requires_a_process_pool(self):
-        assert not ExperimentRunner().supports_shared_transport
-        assert not ExperimentRunner(max_workers=4).supports_shared_transport
+    def test_runner_is_reusable_after_shutdown(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shared"))
+        inline = ExperimentRunner(cache=ArtifactCache()).run(_specs("inline"))
         with ExperimentRunner(max_workers=2, executor="process") as runner:
-            assert runner.supports_shared_transport
-        with ExperimentRunner(
-            max_workers=2, executor="process", shared_transport=False
-        ) as runner:
-            assert not runner.supports_shared_transport
-
-    def test_publish_rejected_without_support(self):
-        runner = ExperimentRunner(max_workers=3)
-        with pytest.raises(ConfigurationError, match="shared-memory transport"):
-            runner.publish_array(np.ones(4))
-
-    def test_pooled_match_publishes_then_shutdown_unlinks(self, normalized_pair):
-        ref_n, ref_d, probe_n, probe_d = normalized_pair
-        inline = match_normalized(ref_n, probe_n, ref_d, probe_d, shard_size=4)
-        runner = ExperimentRunner(
-            cache=ArtifactCache(), max_workers=2, executor="process"
-        )
-        pooled = match_normalized(
-            ref_n, probe_n, ref_d, probe_d, shard_size=4, runner=runner
-        )
-        assert np.array_equal(pooled, inline)
-        store = runner._shared_store
-        assert store is not None
-        # Exactly one reference + one probe segment, reused on repeat calls.
-        assert store.n_segments == 2
-        names = store.segment_names()
-        match_normalized(ref_n, probe_n, ref_d, probe_d, shard_size=4, runner=runner)
-        assert store.segment_names() == names
-        config = runner.worker_config()
-        assert config["shared_transport"] is True
-        assert config["shared_segments"] == 2
-        assert config["shared_bytes"] > 0
-        runner.shutdown()
-        assert not (set(names) & set(_visible_segments()))
-        assert runner.worker_config()["shared_segments"] == 0
-
-    def test_runner_is_reusable_after_shutdown(self, normalized_pair):
-        ref_n, ref_d, probe_n, probe_d = normalized_pair
-        inline = match_normalized(ref_n, probe_n, ref_d, probe_d, shard_size=6)
-        with ExperimentRunner(
-            cache=ArtifactCache(), max_workers=2, executor="process"
-        ) as runner:
-            first = match_normalized(
-                ref_n, probe_n, ref_d, probe_d, shard_size=6, runner=runner
-            )
+            first = runner.run(_specs("first"))
             runner.shutdown()
-            second = match_normalized(
-                ref_n, probe_n, ref_d, probe_d, shard_size=6, runner=runner
-            )
-        assert np.array_equal(first, inline)
-        assert np.array_equal(second, inline)
+            second = runner.run(_specs("second"))
+        for results in (first, second):
+            assert all(result.ok for result in results), [r.error for r in results]
+            assert [r.metrics["accuracy"] for r in results] == [
+                r.metrics["accuracy"] for r in inline
+            ]
 
-    def test_no_repro_segments_leak_across_a_full_cycle(self, normalized_pair):
+    def test_no_repro_segments_leak_across_a_full_cycle(
+        self, small_hcp, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shared"))
         before = _visible_segments()
-        ref_n, ref_d, probe_n, probe_d = normalized_pair
-        with ExperimentRunner(
-            cache=ArtifactCache(), max_workers=2, executor="process"
-        ) as runner:
-            match_normalized(
-                ref_n, probe_n, ref_d, probe_d, shard_size=3, runner=runner
-            )
-        assert _visible_segments() == before
-
-
-class TestServiceTransportPlumbing:
-    def test_config_shared_transport_reaches_the_runner(self):
-        from repro.service import ServiceConfig
-
-        runner = ServiceConfig(max_workers=2, executor="process").build_runner()
-        try:
-            assert runner.supports_shared_transport
-        finally:
-            runner.shutdown()
-        runner = ServiceConfig(
-            max_workers=2, executor="process", shared_transport=False
-        ).build_runner()
-        try:
-            assert not runner.supports_shared_transport
-        finally:
-            runner.shutdown()
-
-    def test_registry_close_releases_runner_segments(self):
-        from repro.service import GalleryRegistry, ServiceConfig
-
-        registry = GalleryRegistry(
-            config=ServiceConfig(max_workers=2, executor="process"),
-            cache=ArtifactCache(),
+        with ExperimentRunner(max_workers=2, executor="process") as runner:
+            assert all(result.ok for result in runner.run(_specs("cycle")))
+        reference = small_hcp.generate_session("REST", encoding="LR", day=1)
+        probes = small_hcp.generate_session("REST", encoding="RL", day=2)
+        gallery = ReferenceGallery.from_scans(
+            reference, n_features=40, cache=ArtifactCache()
         )
-        rng = np.random.default_rng(5)
-        registry.runner.publish_array(rng.standard_normal((8, 8)))
-        names = registry.runner._shared_store.segment_names()
-        assert names
-        registry.close()
-        assert not (set(names) & set(_visible_segments()))
+        expected = gallery.identify(probes)
+        gallery.save(tmp_path / "gal")
+        loaded = ReferenceGallery.load(tmp_path / "gal", cache=ArtifactCache())
+        assert np.array_equal(loaded.identify(probes).similarity, expected.similarity)
+        assert _visible_segments() == before

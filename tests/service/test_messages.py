@@ -142,16 +142,23 @@ class TestServiceConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
             ServiceConfig.from_dict({"n_features": 10, "warp_factor": 9})
-        # Knobs of the removed pooled-matching path: a saved config that
-        # still sets one fails loudly, naming the field.
-        for removed, value in (
+
+    @pytest.mark.parametrize(
+        "removed, value",
+        [
             ("max_workers", 2),
             ("executor", "process"),
             ("shared_transport", True),
             ("shard_size", 16),
-        ):
-            with pytest.raises(ConfigurationError, match=f"unknown.*{removed}"):
-                ServiceConfig.from_dict({"n_features": 10, removed: value})
+        ],
+    )
+    def test_removed_pool_fields_rejected(self, removed, value):
+        """Knobs of the removed pooled-matching path: a saved config that
+        still sets one fails loudly, naming the field."""
+        with pytest.raises(ConfigurationError, match=f"unknown.*{removed}"):
+            ServiceConfig.from_dict({"n_features": 10, removed: value})
+        with pytest.raises(TypeError, match=removed):
+            ServiceConfig(**{removed: value})
 
     def test_gallery_kwargs_cover_fit_shard_and_backend_knobs(self):
         kwargs = ServiceConfig(n_features=40).gallery_kwargs()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.attack.pipeline import AttackPipeline
+from repro.gallery.reference import ReferenceGallery
 from repro.runtime.cache import ArtifactCache
 from repro.service import (
     EnrollRequest,
@@ -396,6 +397,23 @@ class TestConfigPlumbingAndDeprecations:
         assert np.array_equal(
             report.match_result.similarity, legacy.match_result.similarity
         )
+
+    @pytest.mark.parametrize("keyword", ["shard_size", "runner"])
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda sessions, **kw: AttackPipeline(n_features=40, **kw),
+            lambda sessions, **kw: ReferenceGallery.from_scans(
+                sessions[0], n_features=40, cache=ArtifactCache(), **kw
+            ),
+            lambda sessions, **kw: GalleryRegistry(cache=ArtifactCache(), **kw),
+        ],
+        ids=["pipeline", "gallery", "registry"],
+    )
+    def test_removed_pool_keywords_rejected(self, sessions, construct, keyword):
+        """The deprecated shard_size/runner paths are gone, not ignored."""
+        with pytest.raises(TypeError, match=keyword):
+            construct(sessions, **{keyword: None})
 
     def test_config_construction_does_not_warn(self, recwarn):
         AttackPipeline(config=ServiceConfig(n_features=40))

@@ -137,6 +137,26 @@ class TestGalleryCommand:
         for kind in ("gallery", "leverage", "svd", "group_matrix"):
             assert kind in output
 
+    def test_legacy_archive_info_and_identify(self, tmp_path, capsys):
+        """Archives saved with a matching ``shard_size`` still inspect and
+        identify; ``gallery info`` no longer reports a shard size."""
+        self._build(tmp_path, capsys)
+        gallery_dir = tmp_path / "gal"
+        assert main(["gallery", "identify", "--dir", str(gallery_dir)]) == 0
+        expected = capsys.readouterr().out.splitlines()
+        meta_path = gallery_dir / "gallery.json"
+        meta = json.loads(meta_path.read_text())
+        meta["shard_size"] = 4
+        meta_path.write_text(json.dumps(meta, indent=2))
+        assert main(["gallery", "info", "--dir", str(gallery_dir)]) == 0
+        info = capsys.readouterr().out
+        assert "fingerprint" in info
+        assert "shard" not in info
+        assert main(["gallery", "identify", "--dir", str(gallery_dir)]) == 0
+        accuracy = [line for line in expected if "identification accuracy" in line]
+        assert accuracy
+        assert accuracy[0] in capsys.readouterr().out
+
     def test_randomized_build(self, tmp_path, capsys):
         output = self._build(
             tmp_path, capsys, **{"--method": "randomized", "--rank": "4"}
@@ -199,6 +219,26 @@ class TestServeCommand:
     ):
         assert main(["serve", "--dir", str(tmp_path / "nope")]) == 1
         assert "no saved gallery" in capsys.readouterr().err
+        assert _shm_segments() == []
+
+    def test_serve_with_process_pool_leaves_no_shm_segments(self, tmp_path, capsys):
+        """A gallery saved for sharded pooled serving (its gallery.json still
+        carries ``shard_size``) now serves through the forked worker fleet,
+        the one remaining process pool; no exit path leaves segments."""
+        gallery_dir = self._build(tmp_path, capsys)
+        meta_path = gallery_dir / "gallery.json"
+        meta = json.loads(meta_path.read_text())
+        meta["shard_size"] = 4
+        meta_path.write_text(json.dumps(meta, indent=2))
+        assert main(
+            [
+                "serve", "--dir", str(gallery_dir),
+                "--requests", "2", "--rounds", "1", "--router-workers", "2",
+            ]
+        ) == 0
+        output = capsys.readouterr().out
+        assert "served 2 concurrent requests" in output
+        assert "router              : 2/2 workers alive" in output
         assert _shm_segments() == []
 
     def test_gallery_identify_missing_recipe_exits_1(self, tmp_path, capsys):
@@ -564,6 +604,13 @@ class TestRuntimeInfoCommand:
         output = capsys.readouterr().out
         assert "max_workers=5" in output
         assert "executor=process" in output
+
+    def test_runtime_info_omits_the_removed_shm_transport(self, capsys):
+        assert main(["runtime-info", "--workers", "2", "--executor", "process"]) == 0
+        output = capsys.readouterr().out
+        assert "max_workers=2" in output
+        assert "shared_transport" not in output
+        assert "shared_segments" not in output
 
     def test_runtime_info_reports_single_process_router_by_default(self, capsys):
         assert main(["runtime-info"]) == 0
