@@ -255,9 +255,7 @@ def trajectory_record(outcome: dict) -> dict:
     """The ``BENCH_http.json`` trajectory record of one benchmark outcome.
 
     Carries the wire-overhead ratio per codec plus the binary-vs-JSON wire
-    speedup, so the serving-throughput lever can be tracked across commits
-    (the ``BENCH_backend.json`` counterpart tracks the kernel/transport
-    side).
+    speedup, so the serving-throughput lever can be tracked across commits.
     """
     json_entry = outcome["codecs"].get("json")
     binary_entry = outcome["codecs"].get("binary")

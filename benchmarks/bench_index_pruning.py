@@ -4,7 +4,7 @@ The full scan costs one ``F x G`` GEMM per probe batch — linear in the
 gallery size ``G``.  The :class:`~repro.gallery.index.PruningIndex` scores
 every column with one small ``rank x G`` GEMM, hands only the per-probe
 top-C survivors (plus any column whose admissible upper bound still reaches
-the provisional second-best) to the exact ``numpy64`` kernel, and therefore
+the provisional second-best) to the exact similarity kernel, and therefore
 scales sublinearly in ``G`` once the gallery has structure to exploit.
 
 This benchmark times both paths on structured galleries (a low-rank cohort
@@ -187,7 +187,7 @@ def trajectory_record(outcome: dict) -> dict:
 
     Carries the per-size p50/p99 latencies and speedups plus the top-1
     agreement verdict, so the sublinear-scaling claim can be tracked across
-    commits next to ``BENCH_backend.json`` / ``BENCH_http.json``.
+    commits next to ``BENCH_http.json``.
     """
     return {
         "benchmark": "index_pruning",

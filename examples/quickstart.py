@@ -42,7 +42,7 @@ def main() -> None:
     target_scans = dataset.generate_session("REST", encoding="RL", day=2)
 
     # One config object owns every knob (features, SVD backend, matching
-    # backend, batching); one service serves every gallery.
+    # precision, batching); one service serves every gallery.
     service = IdentificationService(config=ServiceConfig(n_features=100))
 
     # Enroll once: the expensive part (one SVD of the reference group matrix)

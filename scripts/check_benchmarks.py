@@ -6,17 +6,14 @@ paying for a full benchmark run.  This script imports every
 ``benchmarks/bench_*.py`` module with the benchmarks directory on
 ``sys.path`` (mirroring how pytest resolves their ``conftest`` import).
 
-With ``--backend-trajectory PATH`` it additionally *runs* the backend
-matching benchmark and writes its trajectory record (selected backend and
-precision outcomes; float32 top-1 agreement is the hard gate) to PATH — the
-``BENCH_backend.json`` artifact the CI smoke job uploads so speedups can be
-tracked across commits.  ``--http-trajectory PATH`` does the same for the HTTP serving
-benchmark, writing the wire-overhead ratio per codec (JSON vs binary
-frames) to PATH (``BENCH_http.json`` in CI).  ``--index-trajectory PATH``
-runs the candidate-pruning index benchmark and writes its per-size
-speedups, p50/p99 latencies, and top-1 agreement verdict to PATH
-(``BENCH_index.json`` in CI); top-1 agreement is the hard gate, the
-speedups are recorded for trajectory tracking.  ``--router-trajectory
+With ``--http-trajectory PATH`` it additionally *runs* the HTTP serving
+benchmark and writes its trajectory record — the wire-overhead ratio per
+codec (JSON vs binary frames) — to PATH, the ``BENCH_http.json`` artifact
+the CI smoke job uploads so ratios can be tracked across commits.
+``--index-trajectory PATH`` runs the candidate-pruning index benchmark
+and writes its per-size speedups, p50/p99 latencies, and top-1 agreement
+verdict to PATH (``BENCH_index.json`` in CI); top-1 agreement is the hard
+gate, the speedups are recorded for trajectory tracking.  ``--router-trajectory
 PATH`` runs the gallery-router scaling benchmark and writes the 4-vs-1
 worker aggregate throughput plus the routed bit-identity verdict (IPC and
 both HTTP codecs) to PATH (``BENCH_router.json`` in CI); bit-identity is
@@ -40,7 +37,6 @@ within the deadline, zero leaks) are hard gates.
 Usage::
 
     PYTHONPATH=src python scripts/check_benchmarks.py
-    PYTHONPATH=src python scripts/check_benchmarks.py --backend-trajectory BENCH_backend.json
     PYTHONPATH=src python scripts/check_benchmarks.py --http-trajectory BENCH_http.json
     PYTHONPATH=src python scripts/check_benchmarks.py --index-trajectory BENCH_index.json
     PYTHONPATH=src python scripts/check_benchmarks.py --router-trajectory BENCH_router.json
@@ -62,7 +58,6 @@ REQUIRED_BENCHMARKS = {
     "bench_runtime_batching",
     "bench_gallery_matching",
     "bench_service_batching",
-    "bench_backend_matching",
     "bench_http_serving",
     "bench_index_pruning",
     "bench_router_scaling",
@@ -77,22 +72,6 @@ def _benchmarks_on_path() -> Path:
     if str(benchmarks_dir) not in sys.path:
         sys.path.insert(0, str(benchmarks_dir))
     return benchmarks_dir
-
-
-def write_backend_trajectory(path: Path) -> dict:
-    """Run the backend benchmark and write its trajectory record to ``path``.
-
-    Runs the acceptance workload (256-subject x 400-feature gallery, 256
-    probes).  The record carries the selected backend name and the
-    precision outcomes (per-backend timings, speedups, top-1 agreement).
-    """
-    _benchmarks_on_path()
-    import bench_backend_matching as bench
-
-    precision = bench.run_precision_benchmark()
-    record = bench.trajectory_record(precision)
-    path.write_text(json.dumps(record, indent=2))
-    return record
 
 
 def write_http_trajectory(path: Path) -> dict:
@@ -247,11 +226,6 @@ def run_import_checks() -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--backend-trajectory", metavar="PATH", default=None,
-        help="run the backend matching benchmark and write its trajectory "
-        "record (backend name + precision outcomes) to PATH",
-    )
-    parser.add_argument(
         "--http-trajectory", metavar="PATH", default=None,
         help="run the HTTP serving benchmark and write its trajectory "
         "record (wire-overhead ratio per codec) to PATH",
@@ -328,23 +302,6 @@ def main(argv=None) -> int:
 
     if run_import_checks() != 0:
         return 1
-
-    if args.backend_trajectory:
-        record = write_backend_trajectory(Path(args.backend_trajectory))
-        precision = record["precision"]
-        print(
-            "backend trajectory: backend={backend} "
-            "float32_speedup={speedup:.2f}x "
-            "float32_top1_agreement={agreement:.2f} -> {path}".format(
-                backend=record["backend"],
-                speedup=precision["float32_speedup"],
-                agreement=precision["float32_top1_agreement"],
-                path=args.backend_trajectory,
-            )
-        )
-        if precision["float32_top1_agreement"] != 1.0:
-            print("FAIL backend trajectory: float32 changed a top-1 identity")
-            return 1
 
     if args.http_trajectory:
         record = write_http_trajectory(Path(args.http_trajectory))

@@ -80,9 +80,6 @@ class AttackPipeline:
         ``rank``; the right choice for large-gallery fits).
     random_state:
         Seed forwarded to the attack (randomized selection / randomized SVD).
-    backend:
-        Matching-backend name (``None`` = the bit-exact ``numpy64``
-        default); supplied by ``config`` when one is given.
     config:
         A :class:`~repro.service.config.ServiceConfig` supplying every fit
         and matching knob at once; individual kwargs above are ignored when
@@ -96,7 +93,6 @@ class AttackPipeline:
     fisher: bool = False
     method: str = "exact"
     random_state: RandomStateLike = None
-    backend: Optional[str] = None
     config: Optional["ServiceConfig"] = field(default=None, repr=False)
     attack_: Optional[LeverageScoreAttack] = field(default=None, repr=False)
     gallery_: Optional["ReferenceGallery"] = field(default=None, repr=False)
@@ -108,7 +104,6 @@ class AttackPipeline:
             self.fisher = self.config.fisher
             self.method = self.config.method
             self.random_state = self.config.random_state
-            self.backend = self.config.resolved_backend()
 
     # ------------------------------------------------------------------ #
     # Building blocks
@@ -157,7 +152,6 @@ class AttackPipeline:
             fisher=self.fisher,
             method=self.method,
             random_state=self.random_state,
-            backend=self.backend,
             cache=get_default_cache(),
         )
         self.gallery_ = gallery

@@ -171,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "request codec instead of calling in process (responses are "
         "bit-identical either way; see docs/protocol.md)",
     )
-    _add_backend_arguments(identify_parser)
+    _add_precision_argument(identify_parser)
 
     info_parser_gallery = gallery_sub.add_parser(
         "info", help="print the state and cache statistics of a saved gallery"
@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "docs/serving.md for the format); faults fire deterministically "
         "from the plan's seeded schedule",
     )
-    _add_backend_arguments(serve_parser)
+    _add_precision_argument(serve_parser)
 
     info_parser = subparsers.add_parser(
         "runtime-info",
@@ -264,29 +264,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_backend_arguments(parser) -> None:
-    """Shared ``--backend``/``--precision`` policy flags (serving commands)."""
-    from repro.runtime.backend import (
-        AUTO_BACKEND,
-        INDEXED_PRECISION,
-        PRECISIONS,
-        available_backends,
-    )
+def _add_precision_argument(parser) -> None:
+    """Shared ``--precision`` flag (serving commands)."""
+    from repro.service.config import PRECISIONS
 
     parser.add_argument(
-        "--backend",
-        choices=[*available_backends(), AUTO_BACKEND],
-        default=None,
-        help="matching backend (default: the bit-exact numpy64; "
-        "'auto' picks the fastest for the chosen precision)",
-    )
-    parser.add_argument(
         "--precision",
-        choices=[*PRECISIONS, INDEXED_PRECISION],
+        choices=PRECISIONS,
         default="float64",
-        help="matching precision; float32 is opt-in (rank agreement, "
-        "not bit-identity); 'indexed' routes identifies through the "
-        "candidate-pruning index (exact top-1 and margin, sublinear scans)",
+        help="matching precision: float64 scans the whole gallery exactly; "
+        "'indexed' routes identifies through the candidate-pruning index "
+        "(exact top-1 and margin, sublinear scans)",
     )
 
 
@@ -503,7 +491,7 @@ def _command_gallery_enroll(args) -> int:
 def _command_gallery_identify(args) -> int:
     from repro.service import IdentificationService, IdentifyRequest, ServiceConfig
 
-    config = ServiceConfig(backend=args.backend, precision=args.precision)
+    config = ServiceConfig(precision=args.precision)
     registry, name = _registry_for(args.dir, config=config)
     service = IdentificationService(registry=registry, config=config)
     gallery = registry.get(name)
@@ -536,8 +524,7 @@ def _command_gallery_identify(args) -> int:
         return 1
     print(
         f"identified {response.n_probes} probes against "
-        f"{response.n_gallery_subjects} enrolled subjects "
-        f"(backend: {gallery.backend})"
+        f"{response.n_gallery_subjects} enrolled subjects"
     )
     pruning = service.stats().pruning.get(name)
     if pruning is not None:
@@ -573,7 +560,6 @@ def _command_gallery_info(args) -> int:
         f"{info['n_features_selected']} of {info['n_features_total']}"
     )
     print(f"svd backend         : {info['method']} (rank={info['rank']})")
-    print(f"matching backend    : {info['backend'] or 'numpy64 (default)'}")
     index = info.get("index")
     if index is None:
         print("pruning index       : (none; build with --index or serve "
@@ -633,7 +619,6 @@ def _serve(args) -> int:
     config = ServiceConfig(
         max_batch_size=args.max_batch,
         batch_window_s=args.window,
-        backend=args.backend,
         precision=args.precision,
         http_host=args.host,
         http_port=args.http if args.http is not None else 8035,
@@ -697,11 +682,9 @@ def _serve_rounds(service, name, args) -> int:
         meta_path = Path(service.root) / name / "gallery.json"
         saved = _json.loads(meta_path.read_text())
         recipe = (saved.get("metadata") or {}).get("dataset")
-        backend_label = service.config.backend or "numpy64 (default)"
     else:
         gallery = service.registry.get(name)
         recipe = gallery.metadata.get("dataset")
-        backend_label = gallery.backend
     if not recipe:
         print("gallery carries no dataset recipe; cannot synthesize probes",
               file=sys.stderr)
@@ -750,7 +733,6 @@ def _serve_rounds(service, name, args) -> int:
     n_probes = sum(response.n_probes for response in responses if response.ok)
     if n_probes:
         print(f"identification accuracy : {100.0 * n_correct / n_probes:.1f} %")
-    print(f"matching backend        : {backend_label}")
     print()
     for line in stats.summary_lines():
         print(line)

@@ -32,7 +32,6 @@ from repro.gallery.matching import (
     match_against_gallery,
     match_normalized,
     normalize_columns,
-    shard_similarity,
     similarity_kernel,
 )
 from repro.gallery.reference import ReferenceGallery
@@ -47,7 +46,6 @@ __all__ = [
     "match_against_gallery",
     "match_normalized",
     "normalize_columns",
-    "shard_similarity",
     "similarity_kernel",
     # reference
     "ReferenceGallery",

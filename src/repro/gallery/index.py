@@ -5,8 +5,8 @@ contraction — linear in the gallery, which is fine at 64 subjects and
 hopeless at "millions of enrolled users" scale.  :class:`PruningIndex` is
 the first sublinear tier: a low-rank sketch of the normalized signature
 matrix scores *all* columns with one small GEMM, the top-C columns per
-probe survive, and only those columns reach the exact ``numpy64`` kernel
-for re-ranking.
+probe survive, and only those columns reach the exact similarity kernel
+(:func:`~repro.gallery.matching.similarity_kernel`) for re-ranking.
 
 **Exactness by construction.**  The coarse score is not a heuristic — it
 anchors an *admissible upper bound* on the exact similarity.  Let ``Q`` be
@@ -32,8 +32,8 @@ bound necessarily reaches ``s2`` and is therefore evaluated.
 
 Because the exact kernel's per-element accumulation depends only on the
 feature dimension, evaluating a column *subset* yields the same bits as
-the full scan would for those columns — the pruned path therefore requires
-a ``bit_exact`` backend and inherits its guarantee.
+the full scan would for those columns — the pruned path inherits the
+kernel's bit-identity guarantee.
 
 Unevaluated entries of the returned matrix hold :data:`FILL_VALUE`
 (``-2.0``, strictly below the correlation range) so downstream
@@ -54,8 +54,13 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ValidationError
-from repro.runtime.backend import get_backend
+from repro.gallery.matching import similarity_kernel
 from repro.runtime.cache import ArtifactCache
+
+#: Serving-level precision that routes identifies through the pruning index
+#: (``ServiceConfig(precision="indexed")``).  Strictly opt-in: the default
+#: ``"float64"`` precision scans the whole gallery with the exact kernel.
+INDEXED_PRECISION = "indexed"
 
 #: Sentinel written into unevaluated entries of a pruned similarity matrix.
 #: Strictly below the correlation range, so it can never win an argmax or
@@ -243,24 +248,16 @@ class PruningIndex:
         probe_normalized: np.ndarray,
         reference_degenerate: np.ndarray,
         probe_degenerate: np.ndarray,
-        backend=None,
         top_c: Optional[int] = None,
     ) -> np.ndarray:
         """Pruned similarity of pre-normalized columns (exact top-1/top-2).
 
         Returns a ``(n_gallery, n_probes)`` matrix whose evaluated entries
-        are bit-identical to the full scan under the (required bit-exact)
-        backend and whose unevaluated entries hold :data:`FILL_VALUE`; the
-        argmax and the top-1/top-2 margin of every probe column equal the
-        full scan's by the escalation argument in the module docstring.
+        are bit-identical to the full scan and whose unevaluated entries
+        hold :data:`FILL_VALUE`; the argmax and the top-1/top-2 margin of
+        every probe column equal the full scan's by the escalation argument
+        in the module docstring.
         """
-        resolved = get_backend(backend)
-        if not resolved.bit_exact:
-            raise ConfigurationError(
-                f"the pruned matching path requires a bit-exact backend "
-                f"(column-subset re-ranking relies on split-invariant "
-                f"accumulation); got {resolved.name!r}"
-            )
         reference_normalized = np.asarray(reference_normalized, dtype=np.float64)
         probe_normalized = np.asarray(probe_normalized, dtype=np.float64)
         n_gallery = reference_normalized.shape[1]
@@ -287,7 +284,7 @@ class PruningIndex:
         if budget >= n_gallery or n_gallery <= 2:
             # Nothing to prune: the exact scan over so few columns (or a
             # budget covering the whole gallery) is the fast path already.
-            similarity = resolved.similarity(
+            similarity = similarity_kernel(
                 reference_normalized, probe_normalized, ref_degenerate, prb_degenerate
             )
             self._count(n_probes, scanned=n_gallery * n_probes,
@@ -320,7 +317,7 @@ class PruningIndex:
         candidates = np.unique(top.ravel())
         evaluated = np.zeros(n_gallery, dtype=bool)
         evaluated[candidates] = True
-        exact = resolved.similarity(
+        exact = similarity_kernel(
             reference_normalized[:, candidates],
             probe_normalized,
             ref_degenerate[candidates],
@@ -349,7 +346,7 @@ class PruningIndex:
         needs &= ~evaluated
         extras = np.nonzero(needs)[0]
         if extras.size:
-            exact_extra = resolved.similarity(
+            exact_extra = similarity_kernel(
                 reference_normalized[:, extras],
                 probe_normalized,
                 ref_degenerate[extras],

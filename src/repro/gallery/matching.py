@@ -7,7 +7,7 @@ leverage-reduced space (about 100 features), so it is a small slice of any
 identify call and runs in process; process parallelism lives in the serving
 fleet (:mod:`repro.service.fleet`), not here.
 
-The default ``numpy64`` kernel is *column-split invariant*: the similarity
+The one similarity kernel is *column-split invariant*: the similarity
 of any subset of gallery columns, or of any subset of probe columns, equals
 the matching rows/columns of the full block bit-for-bit.  Two properties
 deliver it, and two callers rely on it — the serving micro-batcher stacks
@@ -28,17 +28,12 @@ columns exactly:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.attack.matching import MatchResult, prepare_match_inputs
-from repro.exceptions import AttackError
-from repro.runtime.backend import MatchingBackend, get_backend
 from repro.utils.validation import check_matrix
-
-#: What a matching call may name as its backend: a registry name or instance.
-BackendLike = Optional[Union[str, MatchingBackend]]
 
 #: Norm threshold below which a column counts as constant (mirrors
 #: :func:`repro.utils.stats.pairwise_pearson`).
@@ -65,50 +60,38 @@ def similarity_kernel(
     probe_normalized: np.ndarray,
     reference_degenerate: Optional[np.ndarray] = None,
     probe_degenerate: Optional[np.ndarray] = None,
-    backend: BackendLike = None,
 ) -> np.ndarray:
-    """Correlation block of pre-normalized columns, through a matching backend.
+    """Correlation block of pre-normalized columns: the one matching kernel.
 
-    With the default backend (``numpy64``, the fixed-order einsum
-    contraction) the similarity of gallery column ``j`` with probe column
-    ``k`` is bit-identical whether the reference block holds one column or
-    the whole gallery.  This is a deliberate trade: the kernel gives up peak
-    multithreaded GEMM throughput to buy column-split invariance (BLAS
-    row-blocking is not bitwise stable), and since matching runs in the leverage-reduced
-    space (~100 features) the contraction is a negligible slice of any
-    identify call.  Other backends (``numpy32`` mixed precision,
-    ``blas_blocked`` GEMM — see :mod:`repro.runtime.backend`) trade that
-    bit-identity for throughput and are strictly opt-in.
+    The contraction order of ``einsum("ij,ik->jk", ..., optimize=False)``
+    depends only on the feature dimension ``i``, never on how the ``j``
+    (gallery) or ``k`` (probe) axes are blocked, so the similarity of
+    gallery column ``j`` with probe column ``k`` is bit-identical whether
+    the reference block holds one column or the whole gallery.  This is a
+    deliberate trade: the kernel gives up peak GEMM throughput to buy
+    column-split invariance (BLAS row-blocking is not bitwise stable), and
+    since matching runs in the leverage-reduced space (~100 features) the
+    contraction is a small slice of any identify call.  Do not swap it for
+    a GEMM.
+
+    Degenerate (constant) gallery rows and probe columns are zeroed, then
+    the block is clipped into the correlation range.
     """
-    return get_backend(backend).similarity(
-        reference_normalized,
-        probe_normalized,
-        reference_degenerate,
-        probe_degenerate,
+    similarity = np.einsum(
+        "ij,ik->jk",
+        np.asarray(reference_normalized, dtype=np.float64),
+        np.asarray(probe_normalized, dtype=np.float64),
+        optimize=False,
     )
-
-
-def shard_similarity(reference_block: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """One-shot correlation of a gallery block against a probe batch.
-
-    Normalizes both inputs and applies :func:`similarity_kernel`.  Note that
-    the normalization here is *not* column-split invariant (single-column
-    reductions round differently) — callers that slice columns out of a
-    larger gallery normalize the full matrices once and slice the normalized
-    columns instead.
-    """
-    ref = check_matrix(reference_block, name="reference_block")
-    prb = check_matrix(probe, name="probe")
-    if ref.shape[0] != prb.shape[0]:
-        raise AttackError(
-            "reference and probe must share the feature space, "
-            f"got {ref.shape[0]} and {prb.shape[0]} features"
-        )
-    ref_normalized, ref_degenerate = normalize_columns(ref)
-    probe_normalized, probe_degenerate = normalize_columns(prb)
-    return similarity_kernel(
-        ref_normalized, probe_normalized, ref_degenerate, probe_degenerate
-    )
+    if reference_degenerate is not None:
+        reference_degenerate = np.asarray(reference_degenerate, dtype=bool)
+        if reference_degenerate.any():
+            similarity[reference_degenerate, :] = 0.0
+    if probe_degenerate is not None:
+        probe_degenerate = np.asarray(probe_degenerate, dtype=bool)
+        if probe_degenerate.any():
+            similarity[:, probe_degenerate] = 0.0
+    return np.clip(similarity, -1.0, 1.0)
 
 
 def match_against_gallery(
@@ -116,7 +99,6 @@ def match_against_gallery(
     probe: np.ndarray,
     reference_subject_ids: Optional[Sequence[str]] = None,
     target_subject_ids: Optional[Sequence[str]] = None,
-    backend: BackendLike = None,
 ) -> MatchResult:
     """Match probe columns against every gallery column in one contraction.
 
@@ -128,9 +110,6 @@ def match_against_gallery(
         ``(n_features, n_probe)`` reduced probe matrix (same feature space).
     reference_subject_ids / target_subject_ids:
         Optional identities; default to positional labels.
-    backend:
-        Matching-backend name or instance (``None`` = the bit-exact
-        ``numpy64`` default; see :mod:`repro.runtime.backend`).
     """
     ref, prb, reference_subject_ids, target_subject_ids = prepare_match_inputs(
         reference, probe, reference_subject_ids, target_subject_ids
@@ -142,7 +121,6 @@ def match_against_gallery(
         probe_normalized,
         ref_degenerate,
         probe_degenerate,
-        backend=backend,
     )
     predictions = np.argmax(similarity, axis=0)
     return MatchResult(
@@ -158,7 +136,6 @@ def match_normalized(
     probe_normalized: np.ndarray,
     reference_degenerate: np.ndarray,
     probe_degenerate: np.ndarray,
-    backend: BackendLike = None,
     index=None,
     index_top_c: Optional[int] = None,
 ) -> np.ndarray:
@@ -168,15 +145,13 @@ def match_normalized(
     layer's micro-batched identification
     (:class:`repro.service.IdentificationService` stacks the pre-normalized
     probes of many concurrent requests and runs them through one call):
-    because the inputs are already normalized and the default backend is the
+    because the inputs are already normalized and the kernel is the
     fixed-order contraction, each request's columns of the output are
-    bit-for-bit what a call with its probes alone returns.  Non-default
-    backends trade that guarantee for throughput (see
-    :mod:`repro.runtime.backend`).
+    bit-for-bit what a call with its probes alone returns.
 
     When an ``index`` (a fitted :class:`~repro.gallery.index.PruningIndex`)
     is given, the call takes the pruned path instead: one coarse sketched
-    pass selects per-probe candidates, the exact backend re-ranks only
+    pass selects per-probe candidates, the exact kernel re-ranks only
     those columns, and unevaluated entries of the result hold the index's
     fill sentinel.  Argmax and top-1/top-2 margins are exact by
     construction (see :mod:`repro.gallery.index`).
@@ -187,7 +162,6 @@ def match_normalized(
             probe_normalized,
             reference_degenerate,
             probe_degenerate,
-            backend=backend,
             top_c=index_top_c,
         )
     return similarity_kernel(
@@ -195,5 +169,4 @@ def match_normalized(
         probe_normalized,
         reference_degenerate,
         probe_degenerate,
-        backend=backend,
     )

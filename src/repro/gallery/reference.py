@@ -80,10 +80,6 @@ class ReferenceGallery:
     cache:
         Artifact cache backing the fit; defaults to the process-wide cache.
         Give it a ``cache_dir`` to persist factors across processes.
-    backend:
-        Matching-backend name for :meth:`identify` (``None`` = the bit-exact
-        ``numpy64`` default; see :mod:`repro.runtime.backend`).  A runtime
-        deployment knob — it is not persisted by :meth:`save`.
     metadata:
         Free-form JSON-serializable dict persisted alongside the gallery
         (the CLI stores its dataset recipe here).
@@ -117,7 +113,6 @@ class ReferenceGallery:
         method: str = "exact",
         random_state: RandomStateLike = None,
         cache: Optional[ArtifactCache] = None,
-        backend: Optional[str] = None,
         metadata: Optional[Dict[str, Any]] = None,
         index_rank: Optional[int] = None,
         index_top_c: Optional[int] = None,
@@ -134,7 +129,6 @@ class ReferenceGallery:
         self.method = method
         self.random_state = random_state
         self.cache = cache if cache is not None else get_default_cache()
-        self.backend = backend
         self.metadata: Dict[str, Any] = dict(metadata) if metadata else {}
         self.reference = reference
         self.refit_count_ = 0
@@ -164,7 +158,6 @@ class ReferenceGallery:
         method: str = "exact",
         random_state: RandomStateLike = None,
         cache: Optional[ArtifactCache] = None,
-        backend: Optional[str] = None,
         metadata: Optional[Dict[str, Any]] = None,
         index_rank: Optional[int] = None,
         index_top_c: Optional[int] = None,
@@ -187,7 +180,6 @@ class ReferenceGallery:
             method=method,
             random_state=random_state,
             cache=cache,
-            backend=backend,
             metadata=metadata,
             index_rank=index_rank,
             index_top_c=index_top_c,
@@ -334,7 +326,6 @@ class ReferenceGallery:
             reduced_probe,
             reference_subject_ids=self.reference.subject_ids,
             target_subject_ids=probe.subject_ids,
-            backend=self.backend,
         )
 
     # ------------------------------------------------------------------ #
@@ -534,7 +525,6 @@ class ReferenceGallery:
         cls,
         directory: PathLike,
         cache: Optional[ArtifactCache] = None,
-        backend: Optional[str] = None,
     ) -> "ReferenceGallery":
         """Load a saved gallery without re-fitting anything.
 
@@ -583,7 +573,6 @@ class ReferenceGallery:
         gallery.method = meta["method"]
         gallery.random_state = meta["seed"]
         gallery.cache = cache if cache is not None else get_default_cache()
-        gallery.backend = backend
         gallery.metadata = meta.get("metadata") or {}
         gallery.reference = GroupMatrix(
             data=reference_data,
@@ -662,7 +651,6 @@ class ReferenceGallery:
             "rank": self.rank,
             "method": self.method,
             "fisher": self.fisher,
-            "backend": self.backend,
             "refit_count": self.refit_count_,
             "fingerprint": self.fingerprint,
             "index": None if self.index_ is None else self.index_.describe(),

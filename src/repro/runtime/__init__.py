@@ -2,10 +2,6 @@
 
 The runtime layer makes heavy multi-experiment workloads cheap to run:
 
-``backend``
-    Pluggable matching backends (``numpy64`` bit-exact default, ``numpy32``
-    mixed precision, ``blas_blocked`` GEMM) behind one registry and the
-    backend/precision policy.
 ``batch``
     Single-GEMM construction of group matrices from stacked time series,
     replacing the per-scan connectome loop.
@@ -30,13 +26,6 @@ The runtime layer makes heavy multi-experiment workloads cheap to run:
     dropped HTTP connections — for chaos and soak testing.
 """
 
-from repro.runtime.backend import (
-    MatchingBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
 from repro.runtime.batch import (
     batch_correlation_connectomes,
     batch_group_features,
@@ -77,12 +66,6 @@ from repro.runtime.runner import (
 )
 
 __all__ = [
-    # backend
-    "MatchingBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
     # batch
     "batch_correlation_connectomes",
     "batch_group_features",

@@ -85,8 +85,7 @@ def runtime_info(
         Gallery-router fleet shape to report on (``serve --router-workers``);
         0 workers means single-process serving, no router.
     """
-    from repro.gallery.index import DEFAULT_INDEX_RANK, default_top_c
-    from repro.runtime.backend import INDEXED_PRECISION, backend_registry_info
+    from repro.gallery.index import DEFAULT_INDEX_RANK, INDEXED_PRECISION, default_top_c
     from repro.runtime.cache import get_default_cache
     from repro.runtime.runner import ExperimentRunner
 
@@ -94,7 +93,6 @@ def runtime_info(
     runner = runner if runner is not None else ExperimentRunner(cache=cache)
     return {
         "numpy_version": np.__version__,
-        "backends": backend_registry_info(),
         "index": {
             "precision": INDEXED_PRECISION,
             "default_rank": DEFAULT_INDEX_RANK,
@@ -128,17 +126,6 @@ def format_runtime_info(info: Dict[str, Any]) -> str:
         f"max_workers={workers['max_workers']} executor={workers['executor']} "
         f"base_seed={workers['base_seed']} cpu_count={workers['cpu_count']}"
     )
-    backends = info.get("backends") or []
-    if backends:
-        rendered = ", ".join(
-            "{name} ({precision}{exact})".format(
-                name=backend["name"],
-                precision=backend["precision"],
-                exact=", bit-exact" if backend["bit_exact"] else "",
-            )
-            for backend in backends
-        )
-        lines.append(f"matching backends   : {rendered}")
     index = info.get("index")
     if index:
         lines.append(

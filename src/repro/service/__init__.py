@@ -8,7 +8,7 @@ service (datasets → gallery → service):
     :class:`IdentifyResponse`, :class:`EnrollRequest`,
     :class:`EnrollResponse`, :class:`ServiceStats`) with JSON round-trip.
 ``config``
-    :class:`ServiceConfig` — every cache/backend/batching/fleet knob of a
+    :class:`ServiceConfig` — every cache/precision/batching/fleet knob of a
     deployment in one validated, serializable object.
 ``registry``
     :class:`GalleryRegistry` — named, persistable

@@ -1,7 +1,7 @@
 """One configuration object for the whole serving stack.
 
 :class:`ServiceConfig` owns every knob of an identification deployment —
-gallery fit parameters, the matching backend, cache tiers, batching, HTTP,
+gallery fit parameters, the matching precision, cache tiers, batching, HTTP,
 the router fleet and fault injection — in one typed, JSON-round-trippable
 place, and knows how to build the cache and gallery constructor kwargs from
 itself.
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.exceptions import ConfigurationError
-from repro.gallery.index import DEFAULT_INDEX_RANK
-from repro.runtime.backend import INDEXED_PRECISION, PRECISIONS, resolve_backend
+from repro.gallery.index import DEFAULT_INDEX_RANK, INDEXED_PRECISION
 from repro.runtime.cache import (
     DEFAULT_MAX_MEMORY_BYTES as _DEFAULT_MAX_MEMORY_BYTES,
     DEFAULT_MAX_MEMORY_ITEMS as _DEFAULT_MAX_MEMORY_ITEMS,
@@ -24,6 +23,10 @@ from repro.runtime.cache import (
     get_default_cache,
 )
 from repro.runtime.faults import FaultPlan
+
+#: The two serving precisions: the exact full scan (default) and the
+#: opt-in candidate-pruning tier.
+PRECISIONS = ("float64", INDEXED_PRECISION)
 
 
 @dataclass
@@ -37,15 +40,12 @@ class ServiceConfig:
         :class:`~repro.gallery.reference.ReferenceGallery`).  ``random_state``
         is restricted to ``None`` or an integer so the config can round-trip
         through JSON (generator objects also defeat artifact caching).
-    backend / precision:
-        The matching-backend policy (see
-        :func:`repro.runtime.backend.resolve_backend`).  ``backend=None``
-        keeps the bit-exact default for the precision (``numpy64`` for
-        float64, ``numpy32`` for float32); ``backend="auto"`` picks the
-        fastest backend for the precision (``blas_blocked`` / ``numpy32``);
-        an explicit name must agree with ``precision``.  ``precision``
-        defaults to float64 — float32 is opt-in only, with a rank-agreement
-        (not bit-identity) guarantee.
+    precision:
+        One of :data:`PRECISIONS`.  ``"float64"`` (the default) scans the
+        whole gallery with the fixed-order float64 kernel
+        (:func:`~repro.gallery.matching.similarity_kernel`);
+        ``"indexed"`` opts into the candidate-pruning tier (see
+        ``index_enabled`` below), exact on top-1 and margin.
     max_galleries / gallery_ttl_s:
         Registry residency policy: at most ``max_galleries`` galleries held
         in memory (least-recently-used persisted galleries are evicted
@@ -164,7 +164,6 @@ class ServiceConfig:
     fisher: bool = False
     method: str = "exact"
     random_state: Optional[int] = None
-    backend: Optional[str] = None
     precision: str = "float64"
     cache_dir: Optional[str] = None
     max_memory_items: int = _DEFAULT_MAX_MEMORY_ITEMS
@@ -210,10 +209,9 @@ class ServiceConfig:
                 "not JSON-round-trip and defeat artifact caching); got "
                 f"{type(self.random_state).__name__}"
             )
-        if self.precision not in PRECISIONS + (INDEXED_PRECISION,):
+        if self.precision not in PRECISIONS:
             raise ConfigurationError(
-                "precision must be one of "
-                f"{PRECISIONS + (INDEXED_PRECISION,)}, got {self.precision!r}"
+                f"precision must be one of {PRECISIONS}, got {self.precision!r}"
             )
         if self.index_rank is not None and int(self.index_rank) < 1:
             raise ConfigurationError(
@@ -223,9 +221,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"index_top_c must be >= 1 or None, got {self.index_top_c}"
             )
-        # Resolve eagerly so an unknown backend or a backend/precision
-        # mismatch fails at construction, not at serving time.
-        resolve_backend(self.backend, self.precision)
         if self.max_galleries is not None and int(self.max_galleries) < 1:
             raise ConfigurationError(
                 f"max_galleries must be >= 1 or None, got {self.max_galleries}"
@@ -338,10 +333,6 @@ class ServiceConfig:
             max_memory_bytes=self.max_memory_bytes,
         )
 
-    def resolved_backend(self) -> str:
-        """The matching-backend name the backend/precision policy selects."""
-        return resolve_backend(self.backend, self.precision).name
-
     @property
     def index_active(self) -> bool:
         """Whether this deployment fits (and may serve through) a pruning index.
@@ -360,7 +351,6 @@ class ServiceConfig:
             "fisher": self.fisher,
             "method": self.method,
             "random_state": self.random_state,
-            "backend": self.resolved_backend(),
         }
         if self.index_active:
             kwargs["index_rank"] = (

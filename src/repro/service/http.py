@@ -28,8 +28,8 @@ server's event loop and identifies flow through :meth:`identify_async`, so
 concurrent HTTP clients — and requests pipelined on one connection — are
 coalesced by the same per-event-loop micro-batcher that serves in-process
 ``asyncio.gather`` load; the stacked match is bit-identical to serial
-identifies (the ``numpy64`` fixed-order kernel, see
-:mod:`repro.runtime.backend`).
+identifies (the fixed-order float64 kernel, see
+:func:`repro.gallery.matching.similarity_kernel`).
 
 **Persistent pipelined connections.** Connections are keep-alive by
 default.  A client may pipeline requests back-to-back without awaiting

@@ -6,7 +6,7 @@ named :class:`~repro.gallery.reference.ReferenceGallery` instances that can
 be built from scans, enrolled into, evicted from memory, persisted to a root
 directory (via the gallery's own ``save``/``load``), and lazily reloaded on
 first use after a restart.  All galleries share the registry's artifact
-cache and matching backend.
+cache.
 
 Residency is bounded for many-gallery deployments: ``max_galleries`` caps
 how many galleries stay resident (least-recently-used persisted galleries
@@ -87,7 +87,6 @@ class GalleryRegistry:
     ):
         self.config = config if config is not None else ServiceConfig()
         self.cache = cache if cache is not None else self.config.build_cache()
-        self.backend = self.config.resolved_backend()
         self.root = Path(root) if root is not None else None
         self.max_galleries = (
             max_galleries if max_galleries is not None else self.config.max_galleries
@@ -110,10 +109,6 @@ class GalleryRegistry:
         #: last written to / read from disk; auto-eviction requires the live
         #: token to match it.
         self._persisted_state: Dict[str, Any] = {}
-        #: name -> matching backend the gallery was registered with, so an
-        #: eviction + lazy reload restores the same backend (results for a
-        #: name must not depend on eviction timing).
-        self._backend_overrides: Dict[str, str] = {}
         self._auto_evictions = 0
         self._lock = threading.RLock()
 
@@ -166,17 +161,10 @@ class GalleryRegistry:
     # Construction / registration
     # ------------------------------------------------------------------ #
     def register(self, name: str, gallery: ReferenceGallery) -> ReferenceGallery:
-        """Adopt an already-fitted gallery under ``name``.
-
-        The registry's matching backend is attached when the gallery has
-        none, so every gallery a registry serves matches the same way.
-        """
+        """Adopt an already-fitted gallery under ``name``."""
         name = _check_name(name)
-        if gallery.backend is None:
-            gallery.backend = self.backend
         with self._lock:
             self._galleries[name] = gallery
-            self._backend_overrides[name] = gallery.backend
             self._touch_locked(name)
             self._enforce_residency_locked(protect=name)
         return gallery
@@ -228,9 +216,7 @@ class GalleryRegistry:
                 f"{'under ' + str(self.root) if self.root is not None else 'root configured'} "
                 f"and none registered in memory (known: {self.names() or '(none)'})"
             )
-        with self._lock:
-            backend = self._backend_overrides.get(name, self.backend)
-        gallery = ReferenceGallery.load(directory, cache=self.cache, backend=backend)
+        gallery = ReferenceGallery.load(directory, cache=self.cache)
         with self._lock:
             # Another thread may have loaded it meanwhile; first one wins.
             winner = self._galleries.setdefault(name, gallery)
@@ -332,7 +318,6 @@ class GalleryRegistry:
             self._last_used.pop(name, None)
             if delete:
                 self._persisted_state.pop(name, None)
-                self._backend_overrides.pop(name, None)
         directory = self._directory_for(name)
         if delete and directory is not None:
             shutil.rmtree(directory)
@@ -362,7 +347,6 @@ class GalleryRegistry:
                     "resident": True,
                     "n_subjects": gallery.n_subjects,
                     "n_features": gallery.n_features,
-                    "backend": gallery.backend,
                     "fingerprint": gallery.fingerprint,
                 }
             else:
@@ -371,7 +355,6 @@ class GalleryRegistry:
             "root": str(self.root) if self.root is not None else None,
             "n_galleries": len(galleries),
             "galleries": galleries,
-            "backend": self.backend,
             "max_galleries": self.max_galleries,
             "ttl_seconds": self.ttl_seconds,
             "auto_evictions": self._auto_evictions,

@@ -123,7 +123,7 @@ class GalleryRouter:
         Deployment knobs.  ``router_workers`` sets the initial fleet size
         when ``workers`` is not given; ``ring_replicas`` sets the
         virtual-node count; ``warm_on_add`` / ``drain_deadline_s`` steer
-        live resizes; everything else (batching, residency, cache, backend)
+        live resizes; everything else (batching, residency, cache, precision)
         is applied per worker.
     workers:
         Explicit initial fleet size override (>= 1).

@@ -41,9 +41,9 @@ import numpy as np
 
 from repro.attack.matching import MatchResult, prepare_match_inputs
 from repro.exceptions import ReproError, ValidationError
+from repro.gallery.index import INDEXED_PRECISION
 from repro.gallery.matching import match_normalized, normalize_columns
 from repro.gallery.reference import ReferenceGallery
-from repro.runtime.backend import INDEXED_PRECISION
 from repro.runtime.batch import build_group_matrix_batched
 from repro.runtime.cache import frozen_array_digest
 from repro.runtime.faults import FaultPlan, install_plan
@@ -335,7 +335,6 @@ class IdentificationService:
                         stacked,
                         ref_degenerate,
                         stacked_mask,
-                        backend=gallery.backend,
                         index=index,
                         index_top_c=self.config.index_top_c,
                     )

@@ -18,10 +18,15 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ValidationError
-from repro.gallery.index import FILL_VALUE, PruningIndex, default_top_c
+from repro.gallery.index import (
+    DEFAULT_INDEX_RANK,
+    FILL_VALUE,
+    INDEXED_PRECISION,
+    PruningIndex,
+    default_top_c,
+)
 from repro.gallery.matching import match_normalized, normalize_columns, similarity_kernel
 from repro.gallery.reference import ReferenceGallery
-from repro.runtime.backend import INDEXED_PRECISION, resolve_backend
 from repro.runtime.cache import ArtifactCache
 
 
@@ -170,25 +175,33 @@ class TestValidationAndPolicy:
         with pytest.raises(ConfigurationError, match="feature"):
             index.match(ref_n, prb_n, ref_d, prb_d)
 
-    def test_non_bit_exact_backend_is_rejected(self):
+    def test_backend_keyword_is_rejected(self):
+        """The exact re-rank always runs the one kernel; no backend knob."""
         ref_n, ref_d, prb_n, prb_d = structured_matrices()
         index = PruningIndex.fit(ref_n, rank=8)
-        with pytest.raises(ConfigurationError, match="bit-exact"):
-            index.match(ref_n, prb_n, ref_d, prb_d, backend="blas_blocked")
+        with pytest.raises(TypeError, match="backend"):
+            index.match(ref_n, prb_n, ref_d, prb_d, backend="numpy64")
 
     def test_unknown_method_is_rejected(self):
         ref_n, _, _, _ = structured_matrices()
         with pytest.raises(ConfigurationError, match="method"):
             PruningIndex.fit(ref_n, method="hashing")
 
-    def test_indexed_precision_resolves_to_bit_exact_default(self):
-        assert resolve_backend(None, INDEXED_PRECISION).name == "numpy64"
-        assert resolve_backend("auto", INDEXED_PRECISION).name == "numpy64"
-        assert resolve_backend("numpy64", INDEXED_PRECISION).bit_exact
+    def test_indexed_precision_is_the_only_opt_in(self):
+        from repro.service.config import PRECISIONS, ServiceConfig
 
-    def test_indexed_precision_rejects_non_bit_exact_backend(self):
-        with pytest.raises(ConfigurationError, match="bit-exact"):
-            resolve_backend("blas_blocked", INDEXED_PRECISION)
+        assert PRECISIONS == ("float64", INDEXED_PRECISION)
+        default = ServiceConfig()
+        assert default.precision == "float64"
+        assert not default.index_active
+        assert "index_rank" not in default.gallery_kwargs()
+        indexed = ServiceConfig(precision=INDEXED_PRECISION)
+        assert indexed.index_active
+        assert indexed.gallery_kwargs()["index_rank"] == DEFAULT_INDEX_RANK
+        with pytest.raises(
+            ConfigurationError, match=r"\('float64', 'indexed'\), got 'float32'"
+        ):
+            ServiceConfig(precision="float32")
 
 
 class TestArtifactCache:

@@ -1,7 +1,7 @@
 """Column-split invariance of gallery matching.
 
 The acceptance criterion is *bit-for-bit* equality at the kernel level: with
-the default ``numpy64`` backend, the similarity of any block or subset of
+the one fixed-order float64 kernel, the similarity of any block or subset of
 gallery columns (a "shard") must equal the matching rows of the full block,
 and any split of the probe columns must equal the matching columns — down
 to pathological one-column blocks.  The
@@ -21,7 +21,6 @@ from repro.gallery.matching import (
     match_against_gallery,
     match_normalized,
     normalize_columns,
-    shard_similarity,
     similarity_kernel,
 )
 
@@ -41,6 +40,17 @@ def reduced_pair(rest_pair):
 def normalized_pair(reduced_pair):
     """The reduced pair normalized once over the full matrices."""
     reference, probe = reduced_pair
+    return normalize_columns(reference) + normalize_columns(probe)
+
+
+@pytest.fixture(scope="module")
+def planted_pair():
+    """A pre-normalized reference/probe pair with planted degenerate columns."""
+    rng = np.random.default_rng(7)
+    reference = rng.standard_normal((80, 24))
+    probe = rng.standard_normal((80, 9))
+    reference[:, 5] = 2.0  # constant gallery subject
+    probe[:, 2] = -1.0  # constant probe
     return normalize_columns(reference) + normalize_columns(probe)
 
 
@@ -152,28 +162,62 @@ class TestPooledSharding:
         assert np.array_equal(pooled, inline)
 
 
-class TestOtherBackends:
-    """``numpy32`` and ``blas_blocked`` make no bitwise promise across column
-    blocks, only agreement to their precision's tolerance."""
+class TestSimilarityKernel:
+    """The one kernel reproduces the fixed-order float64 einsum exactly."""
 
-    @pytest.mark.parametrize(
-        "backend, rtol", [("numpy32", 1e-5), ("blas_blocked", 1e-12)]
-    )
-    @pytest.mark.parametrize("width", [1, 7])
-    def test_column_blocks_agree_within_precision(
-        self, normalized_pair, backend, rtol, width
-    ):
-        ref_n, ref_d, prb_n, prb_d = normalized_pair
-        full = match_normalized(ref_n, prb_n, ref_d, prb_d, backend=backend)
+    def test_matches_the_reference_einsum_formula(self, planted_pair):
+        ref_n, ref_d, probe_n, probe_d = planted_pair
+        expected = np.einsum("ij,ik->jk", ref_n, probe_n, optimize=False)
+        expected[ref_d, :] = 0.0
+        expected[:, probe_d] = 0.0
+        expected = np.clip(expected, -1.0, 1.0)
+        actual = similarity_kernel(ref_n, probe_n, ref_d, probe_d)
+        assert actual.dtype == np.float64
+        assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("shard_size", [1, 3, 5, 11, None])
+    def test_bit_identical_across_shard_sizes(self, planted_pair, shard_size):
+        ref_n, ref_d, probe_n, probe_d = planted_pair
+        single = match_normalized(ref_n, probe_n, ref_d, probe_d)
+        width = shard_size or ref_n.shape[1]
         blocks = [
             similarity_kernel(
-                ref_n[:, start:stop], prb_n, ref_d[start:stop], prb_d, backend=backend
+                ref_n[:, start:start + width], probe_n,
+                ref_d[start:start + width], probe_d,
             )
-            for start, stop in _blocks(ref_n.shape[1], width)
+            for start in range(0, ref_n.shape[1], width)
         ]
-        stacked = np.vstack(blocks)
-        assert stacked.dtype == full.dtype
-        assert np.allclose(stacked, full, rtol=rtol, atol=rtol)
+        assert np.array_equal(np.vstack(blocks), single)
+
+    def test_bit_identical_through_a_thread_pool(self, planted_pair):
+        """HTTP handler threads and the micro-batcher call the kernel
+        concurrently; concurrent blocks must equal the serial slices."""
+        ref_n, ref_d, probe_n, probe_d = planted_pair
+        single = match_normalized(ref_n, probe_n, ref_d, probe_d)
+        starts = range(0, ref_n.shape[1], 5)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            blocks = list(pool.map(
+                lambda start: match_normalized(
+                    ref_n[:, start:start + 5], probe_n,
+                    ref_d[start:start + 5], probe_d,
+                ),
+                starts,
+            ))
+        for start, block in zip(starts, blocks):
+            assert np.array_equal(block, single[start:start + 5, :])
+
+    def test_respects_degenerate_masks_and_clips(self, planted_pair):
+        ref_n, ref_d, probe_n, probe_d = planted_pair
+        similarity = similarity_kernel(ref_n, probe_n, ref_d, probe_d)
+        assert ref_d.any() and probe_d.any()
+        assert np.all(similarity[ref_d, :] == 0.0)
+        assert np.all(similarity[:, probe_d] == 0.0)
+        # Doubled columns push raw dot products past the correlation range;
+        # the clip runs after masking and bounds every entry.
+        scaled = similarity_kernel(2.0 * ref_n, ref_n, ref_d, ref_d)
+        assert np.all(np.abs(scaled) <= 1.0)
+        assert np.any(scaled == 1.0)
+        assert np.all(scaled[ref_d, :] == 0.0)
 
 
 class TestValidation:
@@ -181,6 +225,8 @@ class TestValidation:
         reference, probe = reduced_pair
         with pytest.raises(AttackError, match="feature space"):
             match_against_gallery(reference, probe[:-1, :])
+        with pytest.raises(AttackError, match="feature space"):
+            match_against_gallery(np.ones((4, 2)), np.ones((5, 2)))
 
     def test_single_feature_rejected(self):
         with pytest.raises(AttackError, match="two features"):
@@ -191,15 +237,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="reference_subject_ids"):
             match_against_gallery(reference, probe, reference_subject_ids=["a"])
 
-    def test_shard_similarity_validates_feature_space(self):
-        with pytest.raises(AttackError, match="feature space"):
-            shard_similarity(np.ones((4, 2)), np.ones((5, 2)))
-
-    @pytest.mark.parametrize("function", [match_against_gallery, match_normalized])
-    @pytest.mark.parametrize("keyword", ["shard_size", "runner"])
+    @pytest.mark.parametrize(
+        "function", [match_against_gallery, match_normalized, similarity_kernel]
+    )
+    @pytest.mark.parametrize("keyword", ["shard_size", "runner", "backend"])
     def test_removed_pool_keywords_rejected(self, normalized_pair, function, keyword):
-        """Matching is one in-process call: the pooled-shard knobs are gone
-        rather than silently ignored."""
+        """Matching is one in-process call through one kernel: the
+        pooled-shard and backend knobs are gone rather than silently
+        ignored."""
         ref_n, ref_d, prb_n, prb_d = normalized_pair
         args = (ref_n, prb_n) if function is match_against_gallery else (
             ref_n, prb_n, ref_d, prb_d

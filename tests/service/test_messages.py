@@ -133,6 +133,7 @@ class TestServiceConfig:
             {"max_batch_size": 0},
             {"batch_window_s": -1.0},
             {"random_state": object()},
+            {"precision": "float32"},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -150,22 +151,23 @@ class TestServiceConfig:
             ("executor", "process"),
             ("shared_transport", True),
             ("shard_size", 16),
+            ("backend", "auto"),
         ],
     )
     def test_removed_pool_fields_rejected(self, removed, value):
-        """Knobs of the removed pooled-matching path: a saved config that
-        still sets one fails loudly, naming the field."""
+        """Knobs of the removed pooled-matching path and matching-backend
+        policy: a saved config that still sets one fails loudly, naming the
+        field."""
         with pytest.raises(ConfigurationError, match=f"unknown.*{removed}"):
             ServiceConfig.from_dict({"n_features": 10, removed: value})
         with pytest.raises(TypeError, match=removed):
             ServiceConfig(**{removed: value})
 
-    def test_gallery_kwargs_cover_fit_shard_and_backend_knobs(self):
+    def test_gallery_kwargs_cover_the_fit_knobs(self):
         kwargs = ServiceConfig(n_features=40).gallery_kwargs()
         assert kwargs["n_features"] == 40
-        assert kwargs["backend"] == "numpy64"
         assert set(kwargs) == {
-            "n_features", "rank", "fisher", "method", "random_state", "backend",
+            "n_features", "rank", "fisher", "method", "random_state",
         }
 
     def test_default_config_shares_the_process_cache(self):

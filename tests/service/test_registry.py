@@ -32,11 +32,12 @@ class TestMembership:
 class TestConfigPlumbing:
     def test_build_uses_the_registry_config(self, sessions):
         registry = GalleryRegistry(
-            config=ServiceConfig(n_features=40, backend="auto"), cache=ArtifactCache()
+            config=ServiceConfig(n_features=40, index_enabled=True, index_rank=4),
+            cache=ArtifactCache(),
         )
         gallery = registry.build("g", sessions[0])
         assert gallery.n_features == 40
-        assert gallery.backend == "blas_blocked"
+        assert gallery.index_rank == 4 and gallery.index_ is not None
         assert gallery.cache is registry.cache
 
     def test_build_overrides_win(self, sessions):
@@ -97,10 +98,8 @@ class TestPersistence:
         gallery = ReferenceGallery.from_scans(
             sessions[0][:4], n_features=20, cache=registry.cache
         )
-        assert gallery.backend is None
         registry.register("adopted", gallery)
         assert registry.get("adopted") is gallery
-        assert gallery.backend == registry.backend
 
 
 class FakeClock:
@@ -233,22 +232,23 @@ class TestResidencyPolicy:
         assert not registry.info()["galleries"]["site"]["resident"]
         assert registry.get("site").metadata["v"] == 2  # reloaded snapshot
 
-    def test_auto_eviction_preserves_a_custom_gallery_backend(
-        self, tmp_path, sessions
-    ):
+    def test_auto_eviction_reload_serves_the_same_bits(self, tmp_path, sessions):
+        """Results for a name must not depend on eviction timing."""
         registry, clock = self._persisted_registry(tmp_path, sessions, ttl_seconds=5.0)
-        reference_scans, _ = sessions
+        reference_scans, probe_scans = sessions
         gallery = ReferenceGallery.from_scans(
-            reference_scans[:4], n_features=20, cache=registry.cache,
-            backend="blas_blocked",
+            reference_scans[:4], n_features=20, cache=registry.cache
         )
         registry.register("custom", gallery)
         registry.persist("custom")
+        before = gallery.identify(probe_scans[:4])
         clock.advance(100.0)
         registry.build("poke", reference_scans[4:6])  # triggers the pass
         assert not registry.info()["galleries"]["custom"]["resident"]
         reloaded = registry.get("custom")
-        assert reloaded.backend == "blas_blocked"  # not the registry default
+        assert reloaded is not gallery
+        after = reloaded.identify(probe_scans[:4])
+        assert np.array_equal(after.similarity, before.similarity)
 
     def test_policy_defaults_come_from_the_config(self, tmp_path):
         registry = GalleryRegistry(

@@ -377,14 +377,15 @@ class TestErrorResponses:
 class TestConfigPlumbingAndDeprecations:
     def test_service_config_reaches_the_gallery(self, sessions):
         reference_scans, _ = sessions
-        config = ServiceConfig(n_features=30, backend="auto")
+        config = ServiceConfig(n_features=30, precision="indexed", index_rank=4)
         service = IdentificationService(config=config)
         service.enroll(
             EnrollRequest(gallery="cfg", scans=reference_scans, create=True)
         )
         gallery = service.registry.get("cfg")
         assert gallery.n_features == 30
-        assert gallery.backend == "blas_blocked"
+        assert gallery.index_ is not None
+        assert gallery.index_rank == 4
 
     def test_attack_pipeline_accepts_a_service_config(self, rest_pair):
         config = ServiceConfig(n_features=40)
@@ -398,7 +399,7 @@ class TestConfigPlumbingAndDeprecations:
             report.match_result.similarity, legacy.match_result.similarity
         )
 
-    @pytest.mark.parametrize("keyword", ["shard_size", "runner"])
+    @pytest.mark.parametrize("keyword", ["shard_size", "runner", "backend"])
     @pytest.mark.parametrize(
         "construct",
         [
@@ -407,11 +408,14 @@ class TestConfigPlumbingAndDeprecations:
                 sessions[0], n_features=40, cache=ArtifactCache(), **kw
             ),
             lambda sessions, **kw: GalleryRegistry(cache=ArtifactCache(), **kw),
+            lambda sessions, **kw: ReferenceGallery(None, **kw),
+            lambda sessions, **kw: ReferenceGallery.load("unused", **kw),
         ],
-        ids=["pipeline", "gallery", "registry"],
+        ids=["pipeline", "gallery", "registry", "gallery-init", "gallery-load"],
     )
     def test_removed_pool_keywords_rejected(self, sessions, construct, keyword):
-        """The deprecated shard_size/runner paths are gone, not ignored."""
+        """The deprecated shard_size/runner paths and the matching-backend
+        knob are gone, not ignored."""
         with pytest.raises(TypeError, match=keyword):
             construct(sessions, **{keyword: None})
 

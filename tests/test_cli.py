@@ -137,25 +137,35 @@ class TestGalleryCommand:
         for kind in ("gallery", "leverage", "svd", "group_matrix"):
             assert kind in output
 
-    def test_legacy_archive_info_and_identify(self, tmp_path, capsys):
-        """Archives saved with a matching ``shard_size`` still inspect and
-        identify; ``gallery info`` no longer reports a shard size."""
+    @pytest.mark.parametrize("key, value", [("shard_size", 4), ("backend", "numpy32")])
+    def test_legacy_archive_info_and_identify(self, tmp_path, capsys, key, value):
+        """Archives carrying a removed matching knob still inspect and
+        identify with the same results; ``gallery info`` reports neither a
+        shard size nor a matching backend.  (Galleries never persisted a
+        backend, so every earlier archive is the ``shard_size`` case or
+        plainer; a stray ``backend`` key is ignored the same way.)"""
         self._build(tmp_path, capsys)
         gallery_dir = tmp_path / "gal"
         assert main(["gallery", "identify", "--dir", str(gallery_dir)]) == 0
         expected = capsys.readouterr().out.splitlines()
         meta_path = gallery_dir / "gallery.json"
         meta = json.loads(meta_path.read_text())
-        meta["shard_size"] = 4
+        meta[key] = value
         meta_path.write_text(json.dumps(meta, indent=2))
         assert main(["gallery", "info", "--dir", str(gallery_dir)]) == 0
         info = capsys.readouterr().out
         assert "fingerprint" in info
         assert "shard" not in info
+        assert "matching backend" not in info
         assert main(["gallery", "identify", "--dir", str(gallery_dir)]) == 0
-        accuracy = [line for line in expected if "identification accuracy" in line]
-        assert accuracy
-        assert accuracy[0] in capsys.readouterr().out
+        output = capsys.readouterr().out
+        results = [
+            line for line in expected
+            if "identification accuracy" in line or "mean confidence margin" in line
+        ]
+        assert len(results) == 2
+        for line in results:
+            assert line in output
 
     def test_randomized_build(self, tmp_path, capsys):
         output = self._build(
@@ -611,6 +621,8 @@ class TestRuntimeInfoCommand:
         assert "max_workers=2" in output
         assert "shared_transport" not in output
         assert "shared_segments" not in output
+        assert "matching backends" not in output
+        assert "pruning index       : precision='indexed'" in output
 
     def test_runtime_info_reports_single_process_router_by_default(self, capsys):
         assert main(["runtime-info"]) == 0
@@ -638,10 +650,16 @@ class TestParser:
             ["serve", "--dir", "gal", "--workers", "2"],
             ["serve", "--dir", "gal", "--executor", "process"],
             ["gallery", "build", "--dir", "gal", "--shard-size", "4"],
+            ["serve", "--dir", "gal", "--backend", "auto"],
+            ["serve", "--dir", "gal", "--precision", "float32"],
+            ["gallery", "identify", "--dir", "gal", "--backend", "numpy64"],
+            ["gallery", "identify", "--dir", "gal", "--precision", "float32"],
         ],
     )
     def test_removed_matching_pool_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        # A removed flag is unknown; a removed --precision value is a bad choice.
+        message = "invalid choice" if "--precision" in argv else "unrecognized arguments"
+        assert message in capsys.readouterr().err
