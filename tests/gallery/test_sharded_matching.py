@@ -219,6 +219,101 @@ class TestSimilarityKernel:
         assert np.any(scaled == 1.0)
         assert np.all(scaled[ref_d, :] == 0.0)
 
+    def test_float32_inputs_are_computed_in_float64(self, planted_pair):
+        """There is no reduced-precision path: float32 inputs are upcast and
+        contracted exactly as their float64 values are."""
+        ref_n, ref_d, probe_n, probe_d = planted_pair
+        ref32, probe32 = ref_n.astype(np.float32), probe_n.astype(np.float32)
+        actual = similarity_kernel(ref32, probe32, ref_d, probe_d)
+        expected = similarity_kernel(
+            ref32.astype(np.float64), probe32.astype(np.float64), ref_d, probe_d
+        )
+        assert actual.dtype == np.float64
+        assert np.array_equal(actual, expected)
+
+    def test_inputs_are_not_mutated(self, planted_pair):
+        """Masking writes into the kernel's own output only: gallery
+        signatures are shared by every concurrent request."""
+        ref_n, ref_d, probe_n, probe_d = planted_pair
+        before = [array.copy() for array in planted_pair]
+        similarity_kernel(ref_n, probe_n, ref_d, probe_d)
+        similarity_kernel(2.0 * ref_n, ref_n, ref_d, ref_d)
+        for original, array in zip(before, planted_pair):
+            assert np.array_equal(original, array)
+
+    def test_without_masks_only_clips(self, planted_pair):
+        ref_n, _, probe_n, _ = planted_pair
+        expected = np.clip(
+            np.einsum("ij,ik->jk", ref_n, probe_n, optimize=False), -1.0, 1.0
+        )
+        assert np.array_equal(similarity_kernel(ref_n, probe_n), expected)
+
+    def test_integer_masks_act_as_boolean(self, planted_pair):
+        """0/1 masks (e.g. decoded from an archive) select rows and columns,
+        they do not index by position."""
+        ref_n, ref_d, probe_n, probe_d = planted_pair
+        expected = similarity_kernel(ref_n, probe_n, ref_d, probe_d)
+        actual = similarity_kernel(
+            ref_n, probe_n, ref_d.astype(np.int64), list(probe_d.astype(int))
+        )
+        assert np.array_equal(actual, expected)
+
+    def test_self_similarity_is_one_on_live_columns(self, planted_pair):
+        ref_n, ref_d, _, _ = planted_pair
+        diagonal = np.diag(similarity_kernel(ref_n, ref_n, ref_d, ref_d))
+        assert np.all(diagonal[ref_d] == 0.0)
+        assert np.allclose(diagonal[~ref_d], 1.0, atol=1e-12)
+        assert np.all(diagonal <= 1.0)
+
+
+class TestAcceptanceWorkloadAgreement:
+    """The kernel on the 64-subject x 100-region acceptance workload."""
+
+    @pytest.fixture(scope="class")
+    def acceptance_matrices(self):
+        from repro.datasets.hcp import HCPLikeDataset
+        from repro.gallery.reference import ReferenceGallery
+        from repro.runtime.batch import build_group_matrix_batched
+        from repro.runtime.cache import ArtifactCache
+
+        dataset = HCPLikeDataset(
+            n_subjects=64, n_regions=100, n_timepoints=100, random_state=0
+        )
+        cache = ArtifactCache()
+        reference = dataset.generate_session("REST", encoding="LR", day=1)
+        probes = dataset.generate_session("REST", encoding="RL", day=2)
+        gallery = ReferenceGallery.from_scans(reference, n_features=100, cache=cache)
+        probe_group = build_group_matrix_batched(probes, cache=cache)
+        reduced = probe_group.data[gallery.selector_.selected_indices_, :]
+        ids = dict(
+            reference_subject_ids=gallery.reference.subject_ids,
+            target_subject_ids=probe_group.subject_ids,
+        )
+        return gallery.signatures_, reduced, ids
+
+    def test_top1_matches_pairwise_pearson(self, acceptance_matrices):
+        """The kernel reproduces the attack's Pearson matching identities."""
+        signatures, reduced_probe, ids = acceptance_matrices
+        kernel = match_against_gallery(signatures, reduced_probe, **ids)
+        pearson = match_subjects(signatures, reduced_probe, **ids)
+        assert np.array_equal(
+            kernel.predicted_reference_index, pearson.predicted_reference_index
+        )
+        assert np.allclose(kernel.similarity, pearson.similarity, atol=1e-12)
+        assert kernel.accuracy() == pearson.accuracy() > 0.5
+
+    def test_top1_survives_per_probe_normalization(self, acceptance_matrices):
+        """A single-probe request normalizes its column alone, which may move
+        low bits but must not move any identity."""
+        signatures, reduced_probe, _ = acceptance_matrices
+        batch = match_against_gallery(signatures, reduced_probe)
+        ref_n, ref_d = normalize_columns(signatures)
+        for column in range(reduced_probe.shape[1]):
+            prb_n, prb_d = normalize_columns(reduced_probe[:, column:column + 1])
+            alone = similarity_kernel(ref_n, prb_n, ref_d, prb_d)
+            assert int(np.argmax(alone[:, 0])) == batch.predicted_reference_index[column]
+            assert np.allclose(alone[:, 0], batch.similarity[:, column], atol=1e-12)
+
 
 class TestValidation:
     def test_feature_space_mismatch_rejected(self, reduced_pair):

@@ -1,7 +1,11 @@
 """Tests for RunResult serialization, timing, and runtime introspection."""
 
+import importlib
 import time
 
+import pytest
+
+import repro.runtime
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.info import detect_blas_threading, format_runtime_info, runtime_info
 from repro.runtime.results import (
@@ -92,3 +96,16 @@ class TestRuntimeInfo:
         assert "cache stats" in text
         assert "blas detection" in text
         assert "workers" in text
+
+    def test_no_matching_backend_registry_remains(self):
+        """Matching has one kernel, so the runtime neither reports nor
+        exports a backend registry."""
+        info = runtime_info(cache=ArtifactCache())
+        assert "backends" not in info
+        assert info["index"]["precision"] == "indexed"
+        for name in ("MatchingBackend", "get_backend", "register_backend",
+                     "resolve_backend", "available_backends"):
+            assert not hasattr(repro.runtime, name)
+            assert name not in repro.runtime.__all__
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.runtime.backend")

@@ -281,3 +281,12 @@ class TestInfo:
         assert info["galleries"]["mem"]["resident"]
         assert info["galleries"]["mem"]["n_subjects"] == 4
         assert "fingerprint" in info["galleries"]["mem"]
+
+    def test_info_reports_no_matching_backend(self, registry):
+        """Registry and gallery summaries carry no backend: every gallery
+        matches through the one kernel."""
+        info = registry.info()
+        assert not any("backend" in key for key in info)
+        assert not any("backend" in key for key in info["galleries"]["hcp"])
+        assert "backend" not in registry.get("hcp").info()
+        assert not hasattr(registry, "backend")

@@ -41,6 +41,17 @@ def test_required_benchmarks_exist(check_benchmarks):
     assert "bench_fleet_churn" in check_benchmarks.REQUIRED_BENCHMARKS
 
 
+def test_backend_trajectory_flag_is_removed(check_benchmarks, capsys):
+    """The float32 backend benchmark and its trajectory record are gone."""
+    assert "bench_backend_matching" not in check_benchmarks.REQUIRED_BENCHMARKS
+    assert not (REPO_ROOT / "benchmarks" / "bench_backend_matching.py").exists()
+    assert not hasattr(check_benchmarks, "write_backend_trajectory")
+    with pytest.raises(SystemExit) as exit_info:
+        check_benchmarks.main(["--backend-trajectory", "BENCH_backend.json"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_index_trajectory_flag_writes_record(check_benchmarks, tmp_path, capsys, monkeypatch):
     """``--index-trajectory`` runs the benchmark and writes the record.
 
